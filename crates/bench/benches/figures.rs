@@ -14,7 +14,6 @@ use jmst_broker::{BrokerConfig, FaultSpec, ReferenceBroker};
 use jmst_core::{AnalysisConfig, Analyzer, PropertyKind};
 use jmst_harness::prelude::*;
 use jmst_sim::{PubSubScenario, PublisherSpec, ServiceModel};
-use jmst_store::TraceStore;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -250,8 +249,7 @@ fn priority_experiment() {
         let trace = ThreadedRunner::new()
             .run(Arc::new(ReferenceBroker::with_config(config)), None, &spec)
             .expect("priority run");
-        let store = TraceStore::build(&trace);
-        let table = jmst_core::properties::priority::mean_delay_by_priority(&store);
+        let table = jmst_core::properties::priority::mean_delay_by_priority(&trace);
         let report = Analyzer::new().analyze(&trace);
         let strict_report = Analyzer::with_config(strict_config).analyze(&trace);
         println!("  {label}:");

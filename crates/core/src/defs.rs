@@ -1,20 +1,16 @@
-//! The trace-level definitions of the paper's formal model
-//! (Definitions 1–7), as queries over a [`TraceStore`].
+//! Per-record predicates of the paper's formal model.
 //!
-//! Definitions 1 and 2 (*sent* / *received* messages, which fold
-//! transaction outcomes into effectiveness) are provided by
-//! [`TraceStore::effective_sends`] and [`TraceStore::effective_receives`];
-//! this module adds the rest: next message (Def 3), last close (Def 4),
-//! last message (Def 5), first message (Def 6), possibly-received
-//! messages (Def 7), and the required-message closure of Property 2.
+//! The trace-level definitions live on the incremental checkers that
+//! evaluate them one event at a time: Definitions 1–2 (*sent* /
+//! *received* messages) on [`crate::stream::TxResolver`], Definitions 3–6
+//! (next message, last close, last message, first message) on
+//! [`crate::properties::required::RequiredChecker`], and Definition 7
+//! (*possibly received* messages) on [`possibly_received`] here. This
+//! module holds the predicates those checkers and `jmst-props` share.
 
 use jmst_api::destination::{Destination, EndpointId};
-use jmst_api::id::ProducerId;
 use jmst_api::selector::{EvalValue, Selector};
-use jmst_api::time::Timestamp;
 use jmst_store::event::MessageRecord;
-use jmst_store::table::{ReceiveRow, SendRow, TraceStore};
-use std::collections::BTreeMap;
 
 /// Returns `true` if messages sent to `destination` arrive at `endpoint`
 /// (ignoring selectors).
@@ -47,157 +43,15 @@ pub fn selector_accepts_record(selector: &Selector, record: &MessageRecord) -> b
     })
 }
 
-/// The selector an end-point filters with, derived from its consumers'
-/// recorded selectors.
+/// Definition 7, *Possibly Received Messages*: whether a sent message
+/// could legitimately arrive at an end-point. For a queue that is every
+/// send to the queue; for a subscription, every publish on the topic it
+/// covers. On top of the paper's definition, the end-point's selector (if
+/// its consumers agree on one) must also accept the message.
 ///
-/// Returns `Ok(None)` when no consumer had a selector, `Ok(Some(_))` when
-/// every consumer used the same selector, and `Err(())` when consumers
-/// used different selectors (a queue shared by differently-selective
-/// receivers), in which case selector-sensitive checks skip the end-point.
-pub fn endpoint_selector(
-    store: &TraceStore,
-    endpoint: &EndpointId,
-) -> Result<Option<Selector>, MixedSelectors> {
-    let mut texts: Vec<Option<&str>> = store
-        .consumers()
-        .iter()
-        .filter(|row| &row.endpoint == endpoint)
-        .map(|row| row.selector.as_deref())
-        .collect();
-    texts.dedup();
-    match texts.len() {
-        0 => Ok(None),
-        1 => match texts[0] {
-            None => Ok(None),
-            Some(text) => Ok(Some(
-                Selector::parse(text).expect("selector accepted by the provider must parse"),
-            )),
-        },
-        _ => {
-            let unique: std::collections::BTreeSet<_> = texts.into_iter().collect();
-            if unique.len() == 1 {
-                match unique.into_iter().next().expect("non-empty") {
-                    None => Ok(None),
-                    Some(text) => Ok(Some(
-                        Selector::parse(text)
-                            .expect("selector accepted by the provider must parse"),
-                    )),
-                }
-            } else {
-                Err(MixedSelectors)
-            }
-        }
-    }
-}
-
-/// Marker error: an end-point's consumers used differing selectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MixedSelectors;
-
-/// Effective sends grouped by producer and sorted by the producer's send
-/// sequence — the order Definition 3's *next message* walks.
-pub fn sends_by_producer(store: &TraceStore) -> BTreeMap<ProducerId, Vec<&SendRow>> {
-    let mut map: BTreeMap<ProducerId, Vec<&SendRow>> = BTreeMap::new();
-    for row in store.effective_sends() {
-        map.entry(row.record.producer).or_default().push(row);
-    }
-    for rows in map.values_mut() {
-        rows.sort_by_key(|row| row.record.sequence);
-    }
-    map
-}
-
-/// Definition 3: the message produced immediately after `sequence` by the
-/// same producer, within an already-sorted send list.
-pub fn next_message<'a>(sends: &[&'a SendRow], sequence: u64) -> Option<&'a SendRow> {
-    let index = sends
-        .binary_search_by_key(&sequence, |row| row.record.sequence)
-        .ok()?;
-    sends.get(index + 1).copied()
-}
-
-/// Effective receives at one end-point, in receive order.
-pub fn receives_at<'a>(store: &'a TraceStore, endpoint: &EndpointId) -> Vec<&'a ReceiveRow> {
-    store
-        .effective_receives()
-        .filter(|row| &row.endpoint == endpoint)
-        .collect()
-}
-
-/// Definition 4 with the harness convention for never-closed groups: the
-/// last close of the end-point, or the end of the trace if no consumer of
-/// it ever closed.
-pub fn close_bound(store: &TraceStore, endpoint: &EndpointId) -> Timestamp {
-    store.last_close(endpoint).unwrap_or(store.trace_end())
-}
-
-/// Definitions 5 and 6 materialised for one (end-point, producer) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FirstLast {
-    /// Sequence number of the first required message (Definition 6).
-    pub first_sequence: u64,
-    /// Sequence number of the last required message (Definition 5), or
-    /// `u64::MAX` when the recursion never terminates (a queue end-point
-    /// that received nothing: everything sent is required).
-    pub last_sequence: u64,
-}
-
-/// Computes the first/last window of Property 2 for `producer` at
-/// `endpoint`, or `None` when the end-point imposes no requirement on the
-/// producer (nothing sent; or a subscription that never received from it,
-/// which subscription latency excuses).
-pub fn first_last(
-    endpoint: &EndpointId,
-    producer_sends: &[&SendRow],
-    endpoint_receives: &[&ReceiveRow],
-    producer: ProducerId,
-    close_bound: Timestamp,
-) -> Option<FirstLast> {
-    if producer_sends.is_empty() {
-        return None;
-    }
-    // Receives of this producer at this end-point, received before the
-    // last close (Definition 5's qualifier).
-    let timely: Vec<&&ReceiveRow> = endpoint_receives
-        .iter()
-        .filter(|row| row.record.producer == producer && row.at <= close_bound)
-        .collect();
-    let last_sequence = timely.iter().map(|row| row.record.sequence).max();
-    let first_sequence = match endpoint {
-        // Definition 6, queues: the first message sent by p.
-        EndpointId::Queue(_) => producer_sends[0].record.sequence,
-        // Definition 6, subscriptions: the first message sent by p that
-        // was received by a subscriber (any receive qualifies, not only
-        // timely ones — the close qualifier is Definition 5's).
-        EndpointId::DurableSubscription { .. } | EndpointId::NonDurableSubscription { .. } => {
-            endpoint_receives
-                .iter()
-                .filter(|row| row.record.producer == producer)
-                .map(|row| row.record.sequence)
-                .min()?
-        }
-    };
-    let last_sequence = match last_sequence {
-        Some(sequence) => sequence.max(first_sequence),
-        // No timely receives: a queue still requires everything from the
-        // first message on (the recursion of Property 2 never meets a
-        // last message); a subscription without receives was already
-        // excluded by `?` above, except when its only receives came after
-        // the close — then nothing more than the first is required.
-        None => match endpoint {
-            EndpointId::Queue(_) => u64::MAX,
-            _ => first_sequence,
-        },
-    };
-    Some(FirstLast {
-        first_sequence,
-        last_sequence,
-    })
-}
-
-/// Definition 7: whether a sent message is *possibly received* at an
-/// end-point — its destination is covered and the end-point's selector
-/// (if any) accepts it.
+/// Property 2 applies this to a subscription's retained topic sends when
+/// it evaluates the first→next→last window, so a message the selector
+/// rejects is never required.
 pub fn possibly_received(
     endpoint: &EndpointId,
     selector: Option<&Selector>,
@@ -211,11 +65,10 @@ pub fn possibly_received(
 mod tests {
     use super::*;
     use jmst_api::destination::QueueName;
-    use jmst_api::id::{ConsumerId, MessageId, NodeId, SessionId};
-    use jmst_api::modes::{DeliveryMode, Priority, SessionMode, TimeToLive};
+    use jmst_api::id::{ConsumerId, MessageId, ProducerId};
+    use jmst_api::modes::{DeliveryMode, Priority, TimeToLive};
+    use jmst_api::time::Timestamp;
     use jmst_api::value::Value;
-    use jmst_store::event::{Event, EventKind};
-    use jmst_store::trace::Trace;
 
     fn record(
         message: u64,
@@ -236,34 +89,6 @@ mod tests {
             redelivered: false,
             delivery_count: 1,
             properties: Default::default(),
-        }
-    }
-
-    fn send_event(seq: u64, at: u64, rec: MessageRecord) -> Event {
-        Event {
-            seq,
-            at: Timestamp::from_millis(at),
-            node: NodeId::from_raw(0),
-            kind: EventKind::Send {
-                record: rec,
-                session: SessionId::from_raw(1),
-                tx: None,
-            },
-        }
-    }
-
-    fn receive_event(seq: u64, at: u64, endpoint: EndpointId, rec: MessageRecord) -> Event {
-        Event {
-            seq,
-            at: Timestamp::from_millis(at),
-            node: NodeId::from_raw(0),
-            kind: EventKind::Receive {
-                consumer: ConsumerId::from_raw(50),
-                endpoint,
-                record: rec,
-                session: SessionId::from_raw(2),
-                tx: None,
-            },
         }
     }
 
@@ -298,191 +123,6 @@ mod tests {
         assert!(!selector_accepts_record(&selector, &rec));
         rec.properties.set("region", Value::from("emea")).unwrap();
         assert!(selector_accepts_record(&selector, &rec));
-    }
-
-    #[test]
-    fn sends_by_producer_sorts_by_sequence() {
-        let trace = Trace::from_events(vec![
-            send_event(0, 5, record(2, 1, 1, Destination::queue("q"))),
-            send_event(1, 3, record(1, 1, 0, Destination::queue("q"))),
-            send_event(2, 7, record(3, 2, 0, Destination::queue("q"))),
-        ]);
-        let store = TraceStore::build(&trace);
-        let by_producer = sends_by_producer(&store);
-        assert_eq!(by_producer.len(), 2);
-        let p1 = &by_producer[&ProducerId::from_raw(1)];
-        assert_eq!(p1.len(), 2);
-        assert_eq!(p1[0].record.sequence, 0);
-        assert_eq!(next_message(p1, 0).unwrap().record.sequence, 1);
-        assert_eq!(next_message(p1, 1), None);
-        assert_eq!(next_message(p1, 99), None);
-    }
-
-    #[test]
-    fn first_last_for_queue_includes_unreceived_head() {
-        let q = Destination::queue("q");
-        let trace = Trace::from_events(vec![
-            send_event(0, 1, record(1, 1, 0, q.clone())),
-            send_event(1, 2, record(2, 1, 1, q.clone())),
-            send_event(2, 3, record(3, 1, 2, q.clone())),
-            // Only the middle message is received.
-            receive_event(3, 4, queue_endpoint(), record(2, 1, 1, q.clone())),
-        ]);
-        let store = TraceStore::build(&trace);
-        let sends = sends_by_producer(&store);
-        let receives = receives_at(&store, &queue_endpoint());
-        let window = first_last(
-            &queue_endpoint(),
-            &sends[&ProducerId::from_raw(1)],
-            &receives,
-            ProducerId::from_raw(1),
-            close_bound(&store, &queue_endpoint()),
-        )
-        .unwrap();
-        // Queue: first = first sent (0); last = last received (1).
-        assert_eq!(window.first_sequence, 0);
-        assert_eq!(window.last_sequence, 1);
-    }
-
-    #[test]
-    fn first_last_for_queue_with_no_receives_requires_everything() {
-        let q = Destination::queue("q");
-        let trace = Trace::from_events(vec![send_event(0, 1, record(1, 1, 0, q))]);
-        let store = TraceStore::build(&trace);
-        let sends = sends_by_producer(&store);
-        let window = first_last(
-            &queue_endpoint(),
-            &sends[&ProducerId::from_raw(1)],
-            &[],
-            ProducerId::from_raw(1),
-            close_bound(&store, &queue_endpoint()),
-        )
-        .unwrap();
-        assert_eq!(window.first_sequence, 0);
-        assert_eq!(window.last_sequence, u64::MAX);
-    }
-
-    #[test]
-    fn first_last_for_subscription_requires_nothing_without_receives() {
-        let t = Destination::topic("t");
-        let sub = EndpointId::non_durable("t".into(), ConsumerId::from_raw(1));
-        let trace = Trace::from_events(vec![send_event(0, 1, record(1, 1, 0, t))]);
-        let store = TraceStore::build(&trace);
-        let sends = sends_by_producer(&store);
-        let window = first_last(
-            &sub,
-            &sends[&ProducerId::from_raw(1)],
-            &[],
-            ProducerId::from_raw(1),
-            close_bound(&store, &sub),
-        );
-        assert_eq!(window, None);
-    }
-
-    #[test]
-    fn first_last_for_subscription_spans_received_window() {
-        let t = Destination::topic("t");
-        let sub = EndpointId::non_durable("t".into(), ConsumerId::from_raw(1));
-        let trace = Trace::from_events(vec![
-            send_event(0, 1, record(1, 1, 0, t.clone())),
-            send_event(1, 2, record(2, 1, 1, t.clone())),
-            send_event(2, 3, record(3, 1, 2, t.clone())),
-            send_event(3, 4, record(4, 1, 3, t.clone())),
-            // Subscriber saw seq 1 and seq 2 (subscription latency missed
-            // seq 0; seq 3 was in flight at close).
-            receive_event(4, 5, sub.clone(), record(2, 1, 1, t.clone())),
-            receive_event(5, 6, sub.clone(), record(3, 1, 2, t.clone())),
-        ]);
-        let store = TraceStore::build(&trace);
-        let sends = sends_by_producer(&store);
-        let receives = receives_at(&store, &sub);
-        let window = first_last(
-            &sub,
-            &sends[&ProducerId::from_raw(1)],
-            &receives,
-            ProducerId::from_raw(1),
-            close_bound(&store, &sub),
-        )
-        .unwrap();
-        assert_eq!(window.first_sequence, 1);
-        assert_eq!(window.last_sequence, 2);
-    }
-
-    #[test]
-    fn last_message_respects_close_bound() {
-        let q = Destination::queue("q");
-        let endpoint = queue_endpoint();
-        let trace = Trace::from_events(vec![
-            Event {
-                seq: 0,
-                at: Timestamp::from_millis(0),
-                node: NodeId::from_raw(0),
-                kind: EventKind::ConsumerCreated {
-                    consumer: ConsumerId::from_raw(50),
-                    endpoint: endpoint.clone(),
-                    session_mode: SessionMode::AutoAcknowledge,
-                    selector: None,
-                },
-            },
-            send_event(1, 1, record(1, 1, 0, q.clone())),
-            send_event(2, 2, record(2, 1, 1, q.clone())),
-            receive_event(3, 3, endpoint.clone(), record(1, 1, 0, q.clone())),
-            Event {
-                seq: 4,
-                at: Timestamp::from_millis(4),
-                node: NodeId::from_raw(0),
-                kind: EventKind::ConsumerClosed {
-                    consumer: ConsumerId::from_raw(50),
-                    endpoint: endpoint.clone(),
-                },
-            },
-            // Received *after* the last close: does not extend the window.
-            receive_event(5, 5, endpoint.clone(), record(2, 1, 1, q.clone())),
-        ]);
-        let store = TraceStore::build(&trace);
-        assert_eq!(close_bound(&store, &endpoint), Timestamp::from_millis(4));
-        let sends = sends_by_producer(&store);
-        let receives = receives_at(&store, &endpoint);
-        let window = first_last(
-            &endpoint,
-            &sends[&ProducerId::from_raw(1)],
-            &receives,
-            ProducerId::from_raw(1),
-            close_bound(&store, &endpoint),
-        )
-        .unwrap();
-        assert_eq!(window.last_sequence, 0);
-    }
-
-    #[test]
-    fn endpoint_selector_resolution() {
-        let endpoint = queue_endpoint();
-        let consumer_created = |seq: u64, id: u64, selector: Option<&str>| Event {
-            seq,
-            at: Timestamp::from_millis(seq),
-            node: NodeId::from_raw(0),
-            kind: EventKind::ConsumerCreated {
-                consumer: ConsumerId::from_raw(id),
-                endpoint: endpoint.clone(),
-                session_mode: SessionMode::AutoAcknowledge,
-                selector: selector.map(str::to_owned),
-            },
-        };
-        // No consumers: no selector.
-        let store = TraceStore::build(&Trace::new());
-        assert_eq!(endpoint_selector(&store, &endpoint), Ok(None));
-        // One selector, used consistently.
-        let store = TraceStore::build(&Trace::from_events(vec![
-            consumer_created(0, 1, Some("a = 1")),
-            consumer_created(1, 2, Some("a = 1")),
-        ]));
-        assert!(matches!(endpoint_selector(&store, &endpoint), Ok(Some(_))));
-        // Mixed selectors.
-        let store = TraceStore::build(&Trace::from_events(vec![
-            consumer_created(0, 1, Some("a = 1")),
-            consumer_created(1, 2, None),
-        ]));
-        assert_eq!(endpoint_selector(&store, &endpoint), Err(MixedSelectors));
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //!
 //! This crate is the reproduction of the paper's contribution proper:
 //! a formal model of JMS behaviour derived from group-communication-system
-//! properties, evaluated as queries over execution traces.
+//! properties, evaluated event by event over execution traces.
 //!
-//! * [`defs`] — Definitions 1–7 of the paper (sent/received messages,
-//!   next message, last close, last/first message, possibly-received);
+//! The paper's Definitions 1–7 are documented where they are evaluated:
+//! Definitions 1–2 (sent/received messages) on [`stream::TxResolver`],
+//! Definitions 3–6 (next message, last close, last/first message) on
+//! [`properties::required::RequiredChecker`], and Definition 7
+//! (possibly-received messages) on [`defs::possibly_received`].
+//!
+//! * [`defs`] — the per-record predicates the checkers share
+//!   (destination coverage, selector evaluation, Definition 7);
 //! * [`properties`] — the safety checkers: Property 1 delivery integrity,
 //!   Property 2 required messages, Property 3 ordering, Property 4
 //!   priority, Property 5 expiry (with the simple, histogram, and normal

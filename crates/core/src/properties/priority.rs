@@ -19,7 +19,6 @@ use jmst_api::modes::{DeliveryMode, Priority};
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind};
 use jmst_store::stats::SummaryStats;
-use jmst_store::table::TraceStore;
 use jmst_store::trace::Trace;
 use std::collections::BTreeMap;
 use std::mem;
@@ -308,17 +307,28 @@ pub fn check_strict(trace: &Trace, slack: Duration) -> Vec<Violation> {
 }
 
 /// The mean-delay-by-priority table behind the check, for reports
-/// (experiment E7 prints it).
-pub fn mean_delay_by_priority(store: &TraceStore) -> BTreeMap<Priority, SummaryStats> {
-    let (run_start, run_end) = store.run_window();
+/// (experiment E7 prints it): the delays of effective receives whose
+/// message was produced inside the run window.
+pub fn mean_delay_by_priority(trace: &Trace) -> BTreeMap<Priority, SummaryStats> {
+    let (run_start, run_end) = trace.run_window();
     let mut table: BTreeMap<Priority, SummaryStats> = BTreeMap::new();
-    for receive in store.effective_receives() {
-        let record = &receive.record;
+    let mut resolver = TxResolver::new();
+    let mut ingest = |event: &Event| {
+        let EventKind::Receive { record, .. } = &event.kind else {
+            return;
+        };
         if record.sent_at < run_start || record.sent_at >= run_end {
-            continue;
+            return;
         }
-        let delay_ms = receive.at.signed_since(record.sent_at) as f64 / 1e6;
+        let delay_ms = event.at.signed_since(record.sent_at) as f64 / 1e6;
         table.entry(record.priority).or_default().push(delay_ms);
+    };
+    for event in trace {
+        match resolver.push(event) {
+            Resolved::Buffered => {}
+            Resolved::One(event) => ingest(event),
+            Resolved::Replay(events) => events.iter().for_each(&mut ingest),
+        }
     }
     table
 }
@@ -500,8 +510,7 @@ mod tests {
 
     #[test]
     fn mean_delay_table_reports_both_classes() {
-        let store = TraceStore::build(&delay_trace(40, 10, 10));
-        let table = mean_delay_by_priority(&store);
+        let table = mean_delay_by_priority(&delay_trace(40, 10, 10));
         assert_eq!(table.len(), 2);
         let low = table[&Priority::new(1).unwrap()].mean();
         let high = table[&Priority::new(8).unwrap()].mean();

@@ -94,7 +94,25 @@ struct SubRequired {
     last_close: Option<Timestamp>,
 }
 
-/// Incremental required-messages checker.
+/// Incremental required-messages checker, and the home of the paper's
+/// Definitions 3–6, which Property 2's window is built from. All are per
+/// (producer *p*, end-point *id*) and range over effective operations
+/// (Definitions 1–2, resolved by [`TxResolver`]):
+///
+/// * **Definition 3, Next Message** — the message *p* sent immediately
+///   after a given one, by the producer's send sequence. A window is the
+///   run of sequences from *first* to *last*, so every sequence in
+///   between is required.
+/// * **Definition 4, Last Close** — the last close of any consumer of
+///   *id*. Never-closed end-points are bounded by the end of the trace.
+/// * **Definition 5, Last Message** — the last message from *p* received
+///   at *id* before the last close. A receive after the close does not
+///   extend the window (in-flight tail messages are excused by delivery
+///   latency). A queue that received nothing timely from *p* has no last
+///   message, so everything from the first one on is required.
+/// * **Definition 6, First Message** — for a queue, the first message *p*
+///   sent; for a subscription, the first message from *p* a subscriber
+///   actually received (subscription latency excuses the head).
 ///
 /// Conventions on top of the paper's definitions (documented in
 /// DESIGN.md):
@@ -442,6 +460,29 @@ mod tests {
             .receive_q(1, 1, 0)
             .send(2, 1, 1) // sent but never received
             .consumer_closed(50, endpoint)
+            .build();
+        assert!(check(&trace).is_empty());
+    }
+
+    #[test]
+    fn receive_after_the_last_close_does_not_extend_the_window() {
+        // Definition 5: the last message is the last one received
+        // *before* the last close. Seq 2 lands after the close, so the
+        // window ends at seq 0 and the unreceived seq 1 is not required;
+        // counting the late receive would convict seq 1.
+        let endpoint = default_queue_endpoint();
+        let trace = TraceBuilder::new()
+            .consumer_created(50, endpoint.clone(), None)
+            .at(1)
+            .send(1, 1, 0)
+            .send(2, 1, 1)
+            .send(3, 1, 2)
+            .at(3)
+            .receive_q(1, 1, 0)
+            .at(4)
+            .consumer_closed(50, endpoint)
+            .at(5)
+            .receive_q(3, 1, 2)
             .build();
         assert!(check(&trace).is_empty());
     }

@@ -11,9 +11,8 @@
 //!   the `[run start, warm-down start)` measurement window, which is only
 //!   fully known at end of stream; samples whose membership is not yet
 //!   decidable are pended and resolved as knowledge arrives;
-//! * [`SelectorTracker`] — incremental form of
-//!   [`crate::defs::endpoint_selector`]: the effective selector of an
-//!   end-point as its consumer rows stream in.
+//! * [`SelectorTracker`] — the effective selector of an end-point as its
+//!   consumer rows stream in.
 
 use jmst_api::id::TxId;
 use jmst_api::time::Timestamp;
@@ -34,7 +33,14 @@ pub enum Resolved<'a> {
     Replay(Vec<Event>),
 }
 
-/// Streams raw events into *effective* events.
+/// Streams raw events into *effective* events: the paper's Definitions 1
+/// and 2.
+///
+/// * **Definition 1, Sent Messages** — the sends of non-transacted
+///   producers, plus the sends inside a transaction that later commits.
+/// * **Definition 2, Received Messages** — the receives of non-transacted
+///   consumers, plus the receives inside a transaction that later
+///   commits.
 ///
 /// Sends and receives inside a transaction are buffered until the
 /// transaction resolves: a commit replays them (in original order, with
@@ -282,8 +288,8 @@ impl<T> WindowGate<T> {
 }
 
 /// The effective selector of one end-point, as far as its streamed
-/// consumer rows determine it — the incremental form of
-/// [`crate::defs::endpoint_selector`].
+/// consumer rows determine it: none, one selector every consumer shares,
+/// or a mix (then selector-sensitive checks skip the end-point).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SelectorState {
     /// No consumer row seen yet: coverage is undetermined (treated as
@@ -292,8 +298,7 @@ pub enum SelectorState {
     /// Every consumer row so far agrees on one selector text (`None` =
     /// consumers without a selector).
     Uniform(Option<String>),
-    /// Consumer rows disagree; the end-point is skipped, as in the batch
-    /// `MixedSelectors` case. Terminal.
+    /// Consumer rows disagree; the end-point is skipped. Terminal.
     Mixed,
 }
 
@@ -532,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn selector_tracker_mirrors_endpoint_selector() {
+    fn selector_tracker_resolves_uniform_and_mixed_selectors() {
         let mut tracker = SelectorTracker::new();
         assert_eq!(tracker.state(), SelectorState::NoConsumers);
         assert!(tracker.note(None));

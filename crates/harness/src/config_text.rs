@@ -166,7 +166,7 @@ pub fn parse_duration(text: &str) -> Result<Duration, String> {
         "m" | "min" => value * 60.0,
         other => return Err(format!("unknown duration unit {other:?}")),
     };
-    Ok(Duration::from_secs_f64(seconds))
+    Duration::try_from_secs_f64(seconds).map_err(|_| format!("duration {text:?} is out of range"))
 }
 
 fn parse_destination(text: &str) -> Result<Destination, String> {
@@ -1024,6 +1024,7 @@ down = 80ms
         assert!(parse_duration("10").is_err());
         assert!(parse_duration("10h").is_err());
         assert!(parse_duration("fast").is_err());
+        assert!(parse_duration("99999999999999999999999s").is_err());
     }
 
     #[test]

@@ -44,9 +44,10 @@ use jmst_store::journal::{
     schedule_digest, Journal, JournalKey, JournalRecord, JournalWriter, VerdictRecord,
 };
 use jmst_store::{Event, Trace};
+use std::os::unix::fs::DirBuilderExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -465,11 +466,9 @@ impl ProcessPrince {
                 }
             },
         };
-        let socket = self.socket_path(index, spec);
-        let _ = std::fs::remove_file(&socket);
-        let listener = match UnixListener::bind(&socket) {
-            Ok(listener) => listener,
-            Err(e) => {
+        let (socket, listener) = match bind_worker_socket(spec) {
+            Ok(bound) => bound,
+            Err(reason) => {
                 journal_append(
                     journal,
                     &JournalRecord::TestStarted {
@@ -478,10 +477,7 @@ impl ProcessPrince {
                         attempt: 1,
                     },
                 );
-                return finish(
-                    TestOutcome::Invalid(format!("cannot bind {}: {e}", socket.display())),
-                    journal,
-                );
+                return finish(TestOutcome::Invalid(reason), journal);
             }
         };
         let _ = listener.set_nonblocking(true);
@@ -502,7 +498,7 @@ impl ProcessPrince {
             match self.run_one_attempt(
                 index,
                 spec,
-                &socket,
+                &socket.path,
                 &listener,
                 &worker,
                 &mut registry,
@@ -551,7 +547,7 @@ impl ProcessPrince {
             }
         };
         drop(listener);
-        let _ = std::fs::remove_file(&socket);
+        drop(socket);
         self.persist(spec, &events);
         finish(outcome, journal)
     }
@@ -728,13 +724,6 @@ impl ProcessPrince {
         }
     }
 
-    fn socket_path(&self, index: usize, spec: &TestSpec) -> PathBuf {
-        if let Some(path) = &spec.transport.socket {
-            return PathBuf::from(path);
-        }
-        std::env::temp_dir().join(format!("jmst-princed-{}-{index}.sock", std::process::id()))
-    }
-
     fn persist(&self, spec: &TestSpec, events: &[Event]) {
         if let Some(dir) = &self.trace_dir {
             if std::fs::create_dir_all(dir).is_ok() {
@@ -752,6 +741,63 @@ impl ProcessPrince {
                 let trace = Trace::from_events(events.to_vec());
                 let _ = trace.save_jsonl(dir.join(format!("{sanitized}.trace.jsonl")));
             }
+        }
+    }
+}
+
+/// A worker control socket this prince bound. Dropping it unlinks the
+/// socket and removes the private directory it was created in, if any;
+/// nothing this prince did not create is ever unlinked.
+struct BoundSocket {
+    path: PathBuf,
+    private_dir: Option<PathBuf>,
+}
+
+impl Drop for BoundSocket {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+        if let Some(dir) = &self.private_dir {
+            let _ = std::fs::remove_dir(dir);
+        }
+    }
+}
+
+/// Binds the worker control socket: the spec's explicit path, or else
+/// `worker.sock` in a fresh owner-only directory under the temp dir, so
+/// concurrent princes in one process (and stale files left by a killed
+/// earlier process with the same pid) never share a path.
+fn bind_worker_socket(spec: &TestSpec) -> Result<(BoundSocket, UnixListener), String> {
+    let (path, private_dir) = match &spec.transport.socket {
+        Some(path) => (PathBuf::from(path), None),
+        None => {
+            let dir = create_private_dir()
+                .map_err(|e| format!("cannot create a worker socket directory: {e}"))?;
+            (dir.join("worker.sock"), Some(dir))
+        }
+    };
+    match UnixListener::bind(&path) {
+        Ok(listener) => Ok((BoundSocket { path, private_dir }, listener)),
+        Err(e) => {
+            if let Some(dir) = &private_dir {
+                let _ = std::fs::remove_dir(dir);
+            }
+            Err(format!("cannot bind {}: {e}", path.display()))
+        }
+    }
+}
+
+/// Creates `jmst-princed-{pid}-{n}` under the temp dir with mode 0700,
+/// taking the next `n` from a process-wide counter and skipping names
+/// that already exist.
+fn create_private_dir() -> std::io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("jmst-princed-{}-{n}", std::process::id()));
+        match std::fs::DirBuilder::new().mode(0o700).create(&dir) {
+            Ok(()) => return Ok(dir),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
         }
     }
 }

@@ -435,7 +435,8 @@ pub struct TransportSpec {
     pub mode: TransportMode,
     /// Unix socket path the worker connects back on (scenario key
     /// `socket`). `None` lets the prince pick a private path under the
-    /// temp directory.
+    /// temp directory. An explicit path is not unlinked before binding:
+    /// if a file already exists there, the test is invalid.
     #[serde(default)]
     pub socket: Option<String>,
     /// How many times a dead worker is respawned (with exponential

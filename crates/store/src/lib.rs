@@ -1,8 +1,11 @@
-//! # jmst-store — execution-trace storage and relational analysis views
+//! # jmst-store — execution-trace storage and event transport
 //!
 //! The paper's harness inserts test logs into a SQL database (Microsoft
-//! Access over JDBC) and analyses them with SQL statements. This crate is
-//! the embedded replacement:
+//! Access over JDBC) and analyses them with SQL statements. Its §4.1
+//! lesson is that per-event loading was the bottleneck and that the
+//! daemon prince can compute the statistics itself; this crate keeps the
+//! log and its transport, and every analysis streams over it in
+//! `jmst-core`:
 //!
 //! * [`event`] — the trace event schema (sends, receives, lifecycles,
 //!   transaction outcomes, crashes, phase markers);
@@ -15,14 +18,11 @@
 //! * [`journal`] — the append-only, HMAC-chained campaign journal the
 //!   multi-process prince writes so interrupted campaigns survive and
 //!   resume;
-//! * [`table`] — [`TraceStore`], typed and indexed relational views;
-//! * [`query`] — grouping/aggregation combinators (the `GROUP BY` layer);
 //! * [`stats`] — summary statistics and delay histograms;
 //! * [`csv`] — exports for human inspection.
 //!
-//! Splitting storage from analysis mirrors the paper's design and enables
-//! its §4.1 ablation (per-event database insertion vs. streaming
-//! aggregation), reproduced in the `store_ablation` benchmark.
+//! The §4.1 ablation (per-event database-style loading vs. streaming
+//! aggregation) is reproduced in the `store_ablation` benchmark.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,10 +31,8 @@ pub mod csv;
 pub mod disk;
 pub mod event;
 pub mod journal;
-pub mod query;
 pub mod sink;
 pub mod stats;
-pub mod table;
 pub mod trace;
 
 pub use disk::DiskError;
@@ -47,5 +45,4 @@ pub use sink::{
     VecSink,
 };
 pub use stats::{DelayHistogram, LogHistogram, SummaryStats};
-pub use table::{ConsumerRow, DeadLetterRow, ReceiveRow, SendRow, TraceStore};
 pub use trace::{DuplicateOrdKey, NodeRecorder, Recorder, Trace};

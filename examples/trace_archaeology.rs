@@ -1,7 +1,7 @@
 //! Trace archaeology: run a test, persist its execution trace to disk
 //! (as the paper's tests log events to disk), then load it back,
 //! re-analyse it offline, and export the results in every supported
-//! format — the paper's collect → database → reports pipeline.
+//! format — the paper's collect → analyse → reports pipeline.
 //!
 //! ```sh
 //! cargo run --example trace_archaeology
@@ -65,15 +65,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let events_path = dir.join("events.csv");
     std::fs::write(&events_path, csv::trace_to_csv(&loaded))?;
     println!("event-table CSV: {}", events_path.display());
-
-    // 5. Ad-hoc queries over the relational views — what the paper did in
-    //    SQL, e.g. "messages per producer".
-    let store = TraceStore::build(&loaded);
-    let per_producer =
-        jmst::store::query::count_by(store.effective_sends(), |row| row.record.producer);
-    println!("\nad-hoc query — effective sends per producer:");
-    for (producer, count) in per_producer {
-        println!("  {producer}: {count}");
-    }
     Ok(())
 }

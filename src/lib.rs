@@ -14,7 +14,8 @@
 //!   and crash/recovery;
 //! * [`sim`] — the discrete-event simulation substrate and queueing
 //!   models of the paper's Provider I / Provider II;
-//! * [`store`] — execution traces and the relational analysis views;
+//! * [`store`] — execution traces, event sinks, and the campaign
+//!   journal;
 //! * [`core`] — the formal model: Definitions 1–7, Properties 1–5, and
 //!   the §3.2 performance analysis;
 //! * [`harness`] — test specs, the threaded runner, crash injection, and
@@ -72,5 +73,5 @@ pub mod prelude {
     };
     pub use jmst_harness::prelude::*;
     pub use jmst_sim::{ArrivalProcess, PubSubScenario, PublisherSpec, ServiceModel};
-    pub use jmst_store::{Recorder, Trace, TraceStore};
+    pub use jmst_store::{Recorder, Trace};
 }

@@ -4,6 +4,8 @@
 //! analyzer verdict, same per-consumer delivery multisets — at shard
 //! counts 1 and 8, and even when the worker is SIGKILLed mid-run (the
 //! prince respawns it and the aborted attempt's events are discarded).
+//! Process-mode campaigns running at once in one process must not
+//! collide on their worker sockets.
 //!
 //! Worker processes are the `jmst-princed` binary itself, located via
 //! `CARGO_BIN_EXE_jmst-princed`.
@@ -17,6 +19,7 @@ use jmst_api::destination::Destination;
 use jmst_store::{EventKind, Trace};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn worker() -> WorkerCommand {
@@ -150,6 +153,37 @@ fn process_mode_matches_thread_mode_one_shard() {
 #[test]
 fn process_mode_matches_thread_mode_eight_shards() {
     assert_modes_agree(8, None, "s8");
+}
+
+#[test]
+fn concurrent_process_campaigns_do_not_share_worker_sockets() {
+    // Every campaign picks its own worker socket: four process-mode
+    // campaigns in one process, all at once, must each pass rather than
+    // unlink each other's sockets and end inconclusive.
+    const CAMPAIGNS: usize = 4;
+    let start = Arc::new(Barrier::new(CAMPAIGNS));
+    let campaigns: Vec<_> = (0..CAMPAIGNS)
+        .map(|i| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let spec = diff_spec(&format!("procdiff-concurrent-{i}"), 1);
+                start.wait();
+                let report = ProcessPrince::new()
+                    .with_worker(worker())
+                    .with_mode_override(TransportMode::Process)
+                    .run_campaign("concurrent", &spec_factory, std::slice::from_ref(&spec))
+                    .expect("campaign runs");
+                report.stable_summary()
+            })
+        })
+        .collect();
+    for campaign in campaigns {
+        let summary = campaign.join().expect("campaign thread");
+        assert!(
+            summary.contains("PASS") && !summary.contains("INCONCLUSIVE"),
+            "a concurrent campaign did not pass: {summary}"
+        );
+    }
 }
 
 #[test]
