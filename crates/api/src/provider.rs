@@ -39,8 +39,8 @@ pub struct DeadLetter {
 /// A JMS provider: the entry point that creates connections.
 ///
 /// Providers must be shareable across threads — the harness hands one
-/// provider to many test-driver threads, as the paper's harness points many
-/// JVMs at one JMS server.
+/// provider to many test drivers on a worker pool, as the paper's harness
+/// points many JVMs at one JMS server.
 pub trait Provider: Send + Sync + fmt::Debug {
     /// A short human-readable name for reports ("reference", "provider-I").
     fn name(&self) -> &str;

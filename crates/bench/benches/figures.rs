@@ -94,9 +94,10 @@ fn figure_1_ordering() {
     assert!(ordering > 0, "the reordering provider must be caught");
 }
 
-/// E4 — the §3.2 performance-measure table over a real threaded run.
+/// E4 — the §3.2 performance-measure table over a real (non-simulated)
+/// run on the reactor-hosted drivers.
 fn perf_table() {
-    section("E4  §3.2 performance measures (threaded run, reference broker)");
+    section("E4  §3.2 performance measures (live run, reference broker)");
     let spec = TestSpec::new("perf-table")
         .with_periods(
             Duration::from_millis(100),

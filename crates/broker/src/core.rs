@@ -1089,6 +1089,7 @@ mod tests {
                 Some(Duration::ZERO),
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
+                None,
                 &|| true,
                 &|| Ok(()),
             )
@@ -1166,6 +1167,7 @@ mod tests {
                     Some(Duration::ZERO),
                     SessionId::from_raw(1),
                     TrackMode::Immediate,
+                    None,
                     &|| true,
                     &|| Ok(()),
                 )

@@ -6,6 +6,7 @@ use jmst_api::destination::EndpointId;
 use jmst_api::error::Error;
 use jmst_api::id::SessionId;
 use jmst_api::message::Message;
+use jmst_api::selector::Selector;
 use jmst_api::time::{Clock, Timestamp};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
@@ -82,11 +83,6 @@ pub struct EndpointStats {
 struct WakerSet {
     count: AtomicUsize,
     wakers: Mutex<Vec<Arc<dyn Fn() + Send + Sync>>>,
-    /// One-shot wakers registered by [`Endpoint::poll_receive`]: drained
-    /// (not re-fired) on the next event, so a poll-loop consumer that
-    /// re-registers on every empty poll never accumulates entries.
-    oneshot_count: AtomicUsize,
-    oneshot: Mutex<Vec<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 impl WakerSet {
@@ -96,30 +92,13 @@ impl WakerSet {
         self.count.store(wakers.len(), Ordering::Release);
     }
 
-    fn add_oneshot(&self, waker: Arc<dyn Fn() + Send + Sync>) {
-        let mut oneshot = self.oneshot.lock();
-        oneshot.push(waker);
-        self.oneshot_count.store(oneshot.len(), Ordering::Release);
-    }
-
-    /// Invokes every registered waker — persistent ones by clone,
-    /// one-shot ones by drain. Must be called with the end-point's
-    /// buffer lock *released*: wakers are arbitrary callbacks and may
-    /// re-enter the end-point.
+    /// Invokes every registered waker. Must be called with the
+    /// end-point's buffer lock *released*: wakers are arbitrary callbacks
+    /// and may re-enter the end-point.
     fn fire(&self) {
         if self.count.load(Ordering::Acquire) > 0 {
             let wakers: Vec<_> = self.wakers.lock().clone();
             for waker in wakers {
-                waker();
-            }
-        }
-        if self.oneshot_count.load(Ordering::Acquire) > 0 {
-            let drained: Vec<_> = {
-                let mut oneshot = self.oneshot.lock();
-                self.oneshot_count.store(0, Ordering::Release);
-                std::mem::take(&mut *oneshot)
-            };
-            for waker in drained {
                 waker();
             }
         }
@@ -129,10 +108,6 @@ impl WakerSet {
         let mut wakers = self.wakers.lock();
         wakers.clear();
         self.count.store(0, Ordering::Release);
-        drop(wakers);
-        let mut oneshot = self.oneshot.lock();
-        oneshot.clear();
-        self.oneshot_count.store(0, Ordering::Release);
     }
 }
 
@@ -146,10 +121,14 @@ impl fmt::Debug for WakerSet {
 
 /// A message buffer for one consumer group (queue or subscription).
 ///
-/// Thread-safe: producers insert from any thread, consumers block in
-/// [`Endpoint::receive`]. Delivery order is highest priority first and
-/// FIFO within a priority, which preserves the per-producer ordering the
-/// paper's Property 3 requires.
+/// Thread-safe: producers insert from any thread. Consumers either block
+/// in [`Endpoint::receive`] or pair a persistent waker
+/// ([`Endpoint::add_waker`]) with the non-blocking
+/// [`Endpoint::try_receive_batch`]. Delivery order is highest priority
+/// first and FIFO within a priority, which preserves the per-producer
+/// ordering the paper's Property 3 requires. A queue selector filters in
+/// place: entries it rejects are skipped, never removed, so they keep
+/// their position for other consumers.
 #[derive(Debug)]
 pub struct Endpoint {
     id: EndpointId,
@@ -157,9 +136,8 @@ pub struct Endpoint {
     enforce_priority: bool,
     /// Backpressure bound on `pending` enforced by the `try_insert`
     /// family (the routing path). `None` is unbounded. The plain
-    /// `insert` family ignores the bound: reinserts of already-accepted
-    /// messages (selector rejections, rollbacks) and dead-letter parking
-    /// must never fail.
+    /// `insert` family ignores the bound: dead-letter parking must never
+    /// fail.
     bound: Option<usize>,
     inner: Mutex<Inner>,
     available: Condvar,
@@ -177,22 +155,6 @@ pub enum InsertOutcome {
     Full,
     /// The end-point was destroyed.
     Destroyed,
-}
-
-/// Outcome of one non-blocking receive poll ([`Endpoint::poll_receive`]).
-#[derive(Debug, Clone)]
-pub enum PollReceive {
-    /// A message was taken (and tracked per the given [`TrackMode`]).
-    Ready(Arc<Message>),
-    /// Nothing deliverable now. A one-shot waker was registered and
-    /// fires on the next insert / recovery / crash / destroy. If a
-    /// pending message merely awaits its visibility edge, the edge is
-    /// reported so the caller can arm a timer (no insert will announce
-    /// it).
-    Pending {
-        /// Earliest future visibility edge among pending messages.
-        next_visible_at: Option<Timestamp>,
-    },
 }
 
 /// Upper bound on one condvar wait. Arrivals, visibility edges, session
@@ -251,14 +213,25 @@ impl Endpoint {
         self.wakers.add(waker);
     }
 
-    /// Registers a *one-shot* readiness callback: it fires (outside the
-    /// buffer lock) on the next insert / recovery / crash / destroy and
-    /// is then forgotten. This is [`Endpoint::poll_receive`]'s
-    /// registration path, exposed for callers that need to re-arm
-    /// without attempting a take (e.g. after releasing a
-    /// selector-rejected message back to the buffer).
-    pub fn add_oneshot_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
-        self.wakers.add_oneshot(waker);
+    /// Buffers `message` under the next arrival sequence (ranked by
+    /// priority when priority is enforced).
+    fn push(&self, inner: &mut Inner, message: Arc<Message>, visible_at: Timestamp) {
+        let key = EntryKey {
+            priority_rank: if self.enforce_priority {
+                9 - message.priority().level()
+            } else {
+                0
+            },
+            seq: inner.next_seq,
+        };
+        inner.next_seq += 1;
+        inner.pending.insert(
+            key,
+            Entry {
+                message,
+                visible_at,
+            },
+        );
     }
 
     /// Wakes blocked receivers, but only if there are any: the common
@@ -280,22 +253,7 @@ impl Endpoint {
             if inner.destroyed {
                 return false;
             }
-            let key = EntryKey {
-                priority_rank: if self.enforce_priority {
-                    9 - message.priority().level()
-                } else {
-                    0
-                },
-                seq: inner.next_seq,
-            };
-            inner.next_seq += 1;
-            inner.pending.insert(
-                key,
-                Entry {
-                    message,
-                    visible_at,
-                },
-            );
+            self.push(&mut inner, message, visible_at);
             self.wake_receivers(&inner);
         }
         self.wakers.fire();
@@ -321,22 +279,7 @@ impl Endpoint {
             }
             let mut inserted = 0u64;
             for message in messages {
-                let key = EntryKey {
-                    priority_rank: if self.enforce_priority {
-                        9 - message.priority().level()
-                    } else {
-                        0
-                    },
-                    seq: inner.next_seq,
-                };
-                inner.next_seq += 1;
-                inner.pending.insert(
-                    key,
-                    Entry {
-                        message: Arc::clone(message),
-                        visible_at,
-                    },
-                );
+                self.push(&mut inner, Arc::clone(message), visible_at);
                 inserted += 1;
             }
             if inserted > 0 {
@@ -364,22 +307,7 @@ impl Endpoint {
             if self.bound.is_some_and(|bound| inner.pending.len() >= bound) {
                 return InsertOutcome::Full;
             }
-            let key = EntryKey {
-                priority_rank: if self.enforce_priority {
-                    9 - message.priority().level()
-                } else {
-                    0
-                },
-                seq: inner.next_seq,
-            };
-            inner.next_seq += 1;
-            inner.pending.insert(
-                key,
-                Entry {
-                    message,
-                    visible_at,
-                },
-            );
+            self.push(&mut inner, message, visible_at);
             self.wake_receivers(&inner);
         }
         self.wakers.fire();
@@ -407,22 +335,7 @@ impl Endpoint {
                     hit_bound = true;
                     break;
                 }
-                let key = EntryKey {
-                    priority_rank: if self.enforce_priority {
-                        9 - message.priority().level()
-                    } else {
-                        0
-                    },
-                    seq: inner.next_seq,
-                };
-                inner.next_seq += 1;
-                inner.pending.insert(
-                    key,
-                    Entry {
-                        message: Arc::clone(message),
-                        visible_at,
-                    },
-                );
+                self.push(&mut inner, Arc::clone(message), visible_at);
                 inserted += 1;
             }
             if inserted > 0 {
@@ -436,69 +349,9 @@ impl Endpoint {
         (inserted, hit_bound)
     }
 
-    /// Non-blocking readiness-style receive: takes the next visible,
-    /// unexpired message if one is deliverable, otherwise registers
-    /// `waker` as a *one-shot* callback and returns
-    /// [`PollReceive::Pending`]. The waker fires (outside the buffer
-    /// lock) on the next insert, session recovery, crash, or destroy —
-    /// then it is forgotten, so a reactor task re-registering on every
-    /// empty poll never accumulates stale entries (unlike
-    /// [`Endpoint::add_waker`], which registers for the end-point's
-    /// lifetime).
-    ///
-    /// The waker is registered *before* the buffer lock is released, so
-    /// an insert racing with this poll either makes the message visible
-    /// to this call or fires the waker after it returns — a wake-up
-    /// cannot be lost in between.
-    ///
-    /// Tracking semantics are identical to [`Endpoint::receive`] with a
-    /// zero timeout.
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever error `alive` reports, or
-    /// [`Error::EndpointClosed`] after the end-point is destroyed.
-    pub fn poll_receive(
-        &self,
-        clock: &dyn Clock,
-        session: SessionId,
-        track: TrackMode,
-        started: &dyn Fn() -> bool,
-        alive: &dyn Fn() -> Result<(), Error>,
-        waker: &Arc<dyn Fn() + Send + Sync>,
-    ) -> Result<PollReceive, Error> {
-        alive()?;
-        let mut inner = self.inner.lock();
-        if inner.destroyed {
-            return Err(Error::EndpointClosed);
-        }
-        let now = clock.now();
-        if started() {
-            if let Some(message) = self.take_visible(&mut inner, now) {
-                inner.delivered += 1;
-                if track == TrackMode::InFlight {
-                    inner.in_flight.push(InFlight {
-                        session,
-                        message: Arc::clone(&message),
-                    });
-                }
-                return Ok(PollReceive::Ready(message));
-            }
-        }
-        // Register while still holding the buffer lock: any insert that
-        // did not show its message above is still waiting for the lock,
-        // and will find (and fire) this waker afterwards.
-        self.wakers.add_oneshot(Arc::clone(waker));
-        let next_visible_at = if started() {
-            Self::next_visible_at(&inner, now)
-        } else {
-            None
-        };
-        Ok(PollReceive::Pending { next_visible_at })
-    }
-
-    /// Receives the next visible, unexpired message, blocking up to
-    /// `timeout` (`None` waits without bound).
+    /// Receives the next visible, unexpired message that `selector`
+    /// accepts (`None` accepts every message), blocking up to `timeout`
+    /// (`None` waits without bound).
     ///
     /// `session` identifies the receiving session for in-flight tracking;
     /// `track` selects the acknowledgement discipline. `started` is
@@ -521,12 +374,14 @@ impl Endpoint {
     ///
     /// Returns whatever error `alive` reports (for example
     /// [`Error::EndpointClosed`] after a concurrent close).
+    #[allow(clippy::too_many_arguments)]
     pub fn receive(
         &self,
         clock: &dyn Clock,
         timeout: Option<Duration>,
         session: SessionId,
         track: TrackMode,
+        selector: Option<&Selector>,
         started: &dyn Fn() -> bool,
         alive: &dyn Fn() -> Result<(), Error>,
     ) -> Result<Option<Arc<Message>>, Error> {
@@ -539,14 +394,7 @@ impl Endpoint {
             }
             let now = clock.now();
             if started() {
-                if let Some(message) = self.take_visible(&mut inner, now) {
-                    inner.delivered += 1;
-                    if track == TrackMode::InFlight {
-                        inner.in_flight.push(InFlight {
-                            session,
-                            message: Arc::clone(&message),
-                        });
-                    }
+                if let Some(message) = self.take(&mut inner, now, session, track, selector) {
                     return Ok(Some(message));
                 }
             }
@@ -573,9 +421,10 @@ impl Endpoint {
         }
     }
 
-    /// Takes up to `max` visible, unexpired messages without blocking,
-    /// holding the buffer lock once for the whole batch. Returns an empty
-    /// vector when nothing is deliverable (or the connection is stopped).
+    /// Takes up to `max` visible, unexpired messages that `selector`
+    /// accepts without blocking, holding the buffer lock once for the
+    /// whole batch. Returns an empty vector when nothing is deliverable
+    /// (or the connection is stopped).
     ///
     /// This is the multiplexer's receive path: a worker thread draining
     /// many virtual consumers calls this instead of parking per-client in
@@ -589,11 +438,13 @@ impl Endpoint {
     ///
     /// Returns whatever error `alive` reports, or
     /// [`Error::EndpointClosed`] after the end-point is destroyed.
+    #[allow(clippy::too_many_arguments)]
     pub fn try_receive_batch(
         &self,
         clock: &dyn Clock,
         session: SessionId,
         track: TrackMode,
+        selector: Option<&Selector>,
         max: usize,
         started: &dyn Fn() -> bool,
         alive: &dyn Fn() -> Result<(), Error>,
@@ -609,16 +460,9 @@ impl Endpoint {
         }
         let now = clock.now();
         while batch.len() < max {
-            let Some(message) = self.take_visible(&mut inner, now) else {
+            let Some(message) = self.take(&mut inner, now, session, track, selector) else {
                 break;
             };
-            inner.delivered += 1;
-            if track == TrackMode::InFlight {
-                inner.in_flight.push(InFlight {
-                    session,
-                    message: Arc::clone(&message),
-                });
-            }
             batch.push(message);
         }
         Ok(batch)
@@ -634,9 +478,19 @@ impl Endpoint {
             .min()
     }
 
-    /// Takes the first visible, unexpired pending message, dropping
-    /// expired entries encountered on the way (when expiry is enforced).
-    fn take_visible(&self, inner: &mut Inner, now: Timestamp) -> Option<Arc<Message>> {
+    /// Delivers the first visible, unexpired pending message that
+    /// `selector` accepts to `session`, tracking it per `track`, and
+    /// drops expired entries encountered on the way (when expiry is
+    /// enforced). Entries the selector rejects stay where they are, in
+    /// order, for other consumers.
+    fn take(
+        &self,
+        inner: &mut Inner,
+        now: Timestamp,
+        session: SessionId,
+        track: TrackMode,
+        selector: Option<&Selector>,
+    ) -> Option<Arc<Message>> {
         let mut expired_keys = Vec::new();
         let mut taken_key = None;
         for (key, entry) in inner.pending.iter() {
@@ -647,6 +501,9 @@ impl Endpoint {
                 expired_keys.push(*key);
                 continue;
             }
+            if selector.is_some_and(|selector| !selector.matches(&entry.message)) {
+                continue; // left in place for other consumers
+            }
             taken_key = Some(*key);
             break;
         }
@@ -654,7 +511,15 @@ impl Endpoint {
         for key in expired_keys {
             inner.pending.remove(&key);
         }
-        taken_key.and_then(|key| inner.pending.remove(&key).map(|entry| entry.message))
+        let message = inner.pending.remove(&taken_key?)?.message;
+        inner.delivered += 1;
+        if track == TrackMode::InFlight {
+            inner.in_flight.push(InFlight {
+                session,
+                message: Arc::clone(&message),
+            });
+        }
+        Some(message)
     }
 
     /// Returns a snapshot of the currently visible, unexpired pending
@@ -755,22 +620,7 @@ impl Endpoint {
                 .as_redelivered()
                 .with_delivery_count(message.delivery_count() + 1),
         );
-        let key = EntryKey {
-            priority_rank: if self.enforce_priority {
-                9 - redelivered.priority().level()
-            } else {
-                0
-            },
-            seq: inner.next_seq,
-        };
-        inner.next_seq += 1;
-        inner.pending.insert(
-            key,
-            Entry {
-                message: redelivered,
-                visible_at: now,
-            },
-        );
+        self.push(inner, redelivered, now);
     }
 
     /// Applies crash semantics: unacknowledged in-flight messages return
@@ -881,9 +731,21 @@ mod tests {
             Some(Duration::ZERO),
             SessionId::from_raw(1),
             track,
+            None,
             &|| true,
             &|| Ok(()),
         )
+    }
+
+    fn batch_now(
+        ep: &Endpoint,
+        clock: &dyn Clock,
+        track: TrackMode,
+        selector: Option<&Selector>,
+        max: usize,
+    ) -> Result<Vec<Arc<Message>>, Error> {
+        let session = SessionId::from_raw(1);
+        ep.try_receive_batch(clock, session, track, selector, max, &|| true, &|| Ok(()))
     }
 
     #[test]
@@ -1113,6 +975,7 @@ mod tests {
                 None,
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
+                None,
                 &|| true,
                 &|| Ok(()),
             )
@@ -1137,6 +1000,7 @@ mod tests {
                 Some(Duration::ZERO),
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
+                None,
                 &|| false, // connection stopped
                 &|| Ok(()),
             )
@@ -1156,6 +1020,7 @@ mod tests {
                 None,
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
+                None,
                 &|| true,
                 &|| Ok(()),
             )
@@ -1206,6 +1071,7 @@ mod tests {
                 Some(Duration::from_secs(5)),
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
+                None,
                 &|| true,
                 &|| Ok(()),
             )
@@ -1225,43 +1091,16 @@ mod tests {
         for i in 0..5 {
             ep.insert(message(i, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
         }
-        let batch = ep
-            .try_receive_batch(
-                &clock,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                3,
-                &|| true,
-                &|| Ok(()),
-            )
-            .unwrap();
+        let batch = batch_now(&ep, &clock, TrackMode::Immediate, None, 3).unwrap();
         assert_eq!(
             batch.iter().map(|m| m.sequence()).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
         // The remainder comes on the next call; an empty endpoint yields
         // an empty batch instead of blocking.
-        let rest = ep
-            .try_receive_batch(
-                &clock,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                10,
-                &|| true,
-                &|| Ok(()),
-            )
-            .unwrap();
+        let rest = batch_now(&ep, &clock, TrackMode::Immediate, None, 10).unwrap();
         assert_eq!(rest.len(), 2);
-        let empty = ep
-            .try_receive_batch(
-                &clock,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                10,
-                &|| true,
-                &|| Ok(()),
-            )
-            .unwrap();
+        let empty = batch_now(&ep, &clock, TrackMode::Immediate, None, 10).unwrap();
         assert!(empty.is_empty());
         assert_eq!(ep.stats().delivered, 5);
     }
@@ -1273,15 +1112,10 @@ mod tests {
         for i in 0..3 {
             ep.insert(message(i, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
         }
-        let session = SessionId::from_raw(7);
-        let batch = ep
-            .try_receive_batch(&clock, session, TrackMode::InFlight, 10, &|| true, &|| {
-                Ok(())
-            })
-            .unwrap();
+        let batch = batch_now(&ep, &clock, TrackMode::InFlight, None, 10).unwrap();
         assert_eq!(batch.len(), 3);
         assert_eq!(ep.stats().in_flight, 3);
-        ep.ack_session(session);
+        ep.ack_session(SessionId::from_raw(1));
         assert_eq!(ep.stats().in_flight, 0);
     }
 
@@ -1295,6 +1129,7 @@ mod tests {
                 &clock,
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
+                None,
                 10,
                 &|| false,
                 &|| Ok(()),
@@ -1302,17 +1137,43 @@ mod tests {
             .unwrap();
         assert!(stopped.is_empty());
         ep.destroy();
-        let err = ep
-            .try_receive_batch(
-                &clock,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                10,
-                &|| true,
-                &|| Ok(()),
-            )
-            .unwrap_err();
+        let err = batch_now(&ep, &clock, TrackMode::Immediate, None, 10).unwrap_err();
         assert!(matches!(err, Error::EndpointClosed));
+    }
+
+    #[test]
+    fn selector_takes_in_place_and_leaves_the_rest_in_order() {
+        let clock = VirtualClock::new();
+        let ep = endpoint();
+        let tagged = |seq: u64, region: &str| {
+            Arc::new(
+                MessageDraft::text(format!("m{seq}"))
+                    .property("region", jmst_api::value::Value::from(region))
+                    .unwrap()
+                    .stamp(Stamp {
+                        id: MessageId::from_raw(seq),
+                        producer: ProducerId::from_raw(1),
+                        sequence: seq,
+                        destination: Destination::queue("q"),
+                        sent_at: Timestamp::ZERO,
+                    }),
+            )
+        };
+        for (seq, region) in [(0, "apac"), (1, "emea"), (2, "apac"), (3, "emea")] {
+            ep.insert(tagged(seq, region), Timestamp::ZERO);
+        }
+        let emea = Selector::parse("region = 'emea'").unwrap();
+        let sequences =
+            |batch: Vec<Arc<Message>>| -> Vec<u64> { batch.iter().map(|m| m.sequence()).collect() };
+        let taken = batch_now(&ep, &clock, TrackMode::Immediate, Some(&emea), 10).unwrap();
+        assert_eq!(sequences(taken), [1, 3]);
+        assert!(
+            batch_now(&ep, &clock, TrackMode::Immediate, Some(&emea), 10)
+                .unwrap()
+                .is_empty()
+        );
+        let rest = batch_now(&ep, &clock, TrackMode::Immediate, None, 10).unwrap();
+        assert_eq!(sequences(rest), [0, 2]);
     }
 
     #[test]
@@ -1405,114 +1266,5 @@ mod tests {
             ep.try_insert(message(1, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO),
             InsertOutcome::Inserted
         );
-    }
-
-    #[test]
-    fn poll_receive_takes_or_registers_oneshot() {
-        use std::sync::atomic::AtomicUsize;
-        let clock = VirtualClock::new();
-        let ep = endpoint();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&fired);
-        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        });
-        // Empty poll: Pending, waker armed.
-        let polled = ep
-            .poll_receive(
-                &clock,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                &|| true,
-                &|| Ok(()),
-                &waker,
-            )
-            .unwrap();
-        assert!(matches!(
-            polled,
-            PollReceive::Pending {
-                next_visible_at: None
-            }
-        ));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        // Insert fires the one-shot exactly once, then forgets it.
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        ep.insert(message(1, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "one-shot does not re-fire");
-        // Non-empty poll: Ready, no registration consumed.
-        let polled = ep
-            .poll_receive(
-                &clock,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                &|| true,
-                &|| Ok(()),
-                &waker,
-            )
-            .unwrap();
-        match polled {
-            PollReceive::Ready(got) => assert_eq!(got.sequence(), 0),
-            other => panic!("expected Ready, got {other:?}"),
-        }
-        assert_eq!(ep.stats().delivered, 1);
-    }
-
-    #[test]
-    fn poll_receive_reports_visibility_edge() {
-        let clock = VirtualClock::new();
-        let ep = endpoint();
-        let visible_at = Timestamp::from_millis(50);
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), visible_at);
-        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(|| {});
-        let polled = ep
-            .poll_receive(
-                &clock,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                &|| true,
-                &|| Ok(()),
-                &waker,
-            )
-            .unwrap();
-        match polled {
-            PollReceive::Pending { next_visible_at } => {
-                assert_eq!(next_visible_at, Some(visible_at));
-            }
-            other => panic!("expected Pending with edge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn repeated_empty_polls_do_not_accumulate_wakers() {
-        use std::sync::atomic::AtomicUsize;
-        let clock = VirtualClock::new();
-        let ep = endpoint();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&fired);
-        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        });
-        // A reactor task re-polling on a timer re-registers every time;
-        // the registrations must drain, not pile up.
-        for _ in 0..100 {
-            let _ = ep
-                .poll_receive(
-                    &clock,
-                    SessionId::from_raw(1),
-                    TrackMode::Immediate,
-                    &|| true,
-                    &|| Ok(()),
-                    &waker,
-                )
-                .unwrap();
-            ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-            // Each insert fires exactly the one registration from the
-            // poll above — older one-shots are long gone.
-            receive_now(&ep, &clock, TrackMode::Immediate)
-                .unwrap()
-                .unwrap();
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 100);
     }
 }

@@ -525,6 +525,69 @@ mod tests {
         assert_eq!(got.body(), &Body::text("red"));
     }
 
+    fn send_region(producer: &mut Box<dyn Producer>, body: &str, region: &str) {
+        producer
+            .send(
+                MessageDraft::text(body)
+                    .property("region", Value::from(region))
+                    .unwrap(),
+            )
+            .unwrap();
+    }
+
+    #[test]
+    fn queue_selector_skips_without_reordering() {
+        let broker = ReferenceBroker::new();
+        let mut connection = started_connection(&broker);
+        let mut session = connection
+            .create_session(SessionMode::AutoAcknowledge)
+            .unwrap();
+        let queue = Destination::queue("q");
+        let mut producer = session.create_producer(&queue).unwrap();
+        send_region(&mut producer, "apac1", "apac");
+        send_region(&mut producer, "emea1", "emea");
+        send_region(&mut producer, "apac2", "apac");
+        let mut emea = session
+            .create_consumer(&queue, Some("region = 'emea'"))
+            .unwrap();
+        let mut apac = session
+            .create_consumer(&queue, Some("region = 'apac'"))
+            .unwrap();
+        let got = emea.receive(Some(Duration::ZERO)).unwrap().unwrap();
+        assert_eq!(got.body(), &Body::text("emea1"));
+        // The apac messages the emea consumer skipped kept their order.
+        let first = apac.receive(Some(Duration::ZERO)).unwrap().unwrap();
+        let second = apac.receive(Some(Duration::ZERO)).unwrap().unwrap();
+        assert_eq!(first.body(), &Body::text("apac1"));
+        assert_eq!(second.body(), &Body::text("apac2"));
+    }
+
+    #[test]
+    fn selector_miss_does_not_fire_the_consumers_own_waker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let broker = ReferenceBroker::new();
+        let mut connection = started_connection(&broker);
+        let mut session = connection
+            .create_session(SessionMode::AutoAcknowledge)
+            .unwrap();
+        let queue = Destination::queue("q");
+        let mut producer = session.create_producer(&queue).unwrap();
+        send_region(&mut producer, "apac1", "apac");
+        let mut emea = session
+            .create_consumer(&queue, Some("region = 'emea'"))
+            .unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&fired);
+        assert!(emea.set_waker(Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        })));
+        assert_eq!(emea.receive(Some(Duration::ZERO)).unwrap(), None);
+        // A waker fired by the consumer's own miss would make a reactor
+        // task re-poll it at once, forever.
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        assert_eq!(broker.endpoint_stats()[0].1.pending, 1);
+    }
+
     #[test]
     fn topic_selector_filters_at_subscription() {
         let broker = ReferenceBroker::new();

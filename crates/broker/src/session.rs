@@ -2,7 +2,7 @@
 
 use crate::connection::ConnState;
 use crate::core::Core;
-use crate::endpoint::{Endpoint, PollReceive, TrackMode};
+use crate::endpoint::{Endpoint, TrackMode};
 use jmst_api::destination::{Destination, TopicName};
 use jmst_api::error::Error;
 use jmst_api::id::{ClientId, ConsumerId, MessageId, ProducerId, SessionId};
@@ -190,14 +190,14 @@ impl Session for BrokerSession {
         let id = self.shared.core.ids().next_consumer_id();
         let (endpoint, kind, queue_selector) = match destination {
             Destination::Queue(queue) => {
-                // Queue consumers share the queue end-point; selectors on
-                // queues are applied at receive time by skipping
-                // non-matching messages is NOT faithful JMS (selector
-                // consumers leave non-matching messages for others), so we
-                // implement queue selectors by filtering during receive
-                // inside the consumer, leaving rejected messages in place.
-                // Static analysis runs here anyway: ill-typed selectors
-                // are rejected at creation (the InvalidSelectorException
+                // Queue consumers share the queue end-point, so a queue
+                // selector cannot filter at routing time. It filters in
+                // place at receive time instead: the end-point skips the
+                // entries it rejects under its lock, and they keep their
+                // position for other consumers (JMS: a selective queue
+                // receiver leaves non-matching messages for others).
+                // Static analysis runs here: ill-typed selectors are
+                // rejected at creation (the InvalidSelectorException
                 // analog), and provably-true ones skip per-receive
                 // evaluation entirely.
                 let queue_selector = match &parsed {
@@ -439,13 +439,21 @@ enum ConsumerKind {
 }
 
 /// A consumer of the reference broker.
+///
+/// Topic selectors filter at routing time, in the subscription. Queue
+/// selectors filter in place at receive time: the shared queue end-point
+/// skips the messages this consumer's selector rejects, without removing
+/// them, so they keep their arrival order and stay deliverable to the
+/// queue's other consumers. A receive that finds no match waits like an
+/// empty receive; it never cycles messages through the queue or fires
+/// the end-point's wakers.
 #[derive(Debug)]
 pub struct BrokerConsumer {
     id: ConsumerId,
     destination: Destination,
     selector_text: Option<String>,
-    /// Selector applied at receive time for queue consumers (topic
-    /// selectors are applied at routing time by the subscription).
+    /// Selector applied in place at receive time for queue consumers
+    /// (topic selectors are applied at routing time by the subscription).
     queue_selector: Option<Selector>,
     endpoint: Arc<Endpoint>,
     kind: ConsumerKind,
@@ -454,83 +462,19 @@ pub struct BrokerConsumer {
 }
 
 impl BrokerConsumer {
-    /// Non-blocking readiness-style receive: returns the next matching
-    /// message if one is deliverable now, otherwise registers `waker` as
-    /// a one-shot callback on the underlying end-point and reports
-    /// [`PollReceive::Pending`]. This is the reactor path — one task
-    /// multiplexing many consumers polls here instead of parking a
-    /// thread in [`Consumer::receive`].
-    ///
-    /// Queue selectors are applied exactly as in the blocking receive:
-    /// non-matching messages are released back to the end-point; once
-    /// every available message has been seen and rejected the poll
-    /// re-arms the waker and reports `Pending`. Pair the waker with a
-    /// periodic re-poll timer — wakers announce inserts, not visibility
-    /// edges or selector rescans (the `Pending` result carries the next
-    /// visibility edge when one is known).
-    ///
-    /// # Errors
-    ///
-    /// Propagates closed-consumer/session/connection and crashed-broker
-    /// errors exactly like [`Consumer::receive`].
-    pub fn poll_receive(
-        &mut self,
-        waker: &Arc<dyn Fn() + Send + Sync>,
-    ) -> Result<PollReceive, Error> {
+    /// Whether the connection currently delivers (started, not closed).
+    fn started(&self) -> bool {
         let conn = &self.session.conn;
-        let core = &self.session.core;
-        let closed_flag = &self.closed;
-        let generation = conn.generation;
-        let started = || conn.started.load(Ordering::SeqCst) && !conn.closed.load(Ordering::SeqCst);
-        let alive = || -> Result<(), Error> {
-            if closed_flag.load(Ordering::SeqCst) {
-                return Err(Error::EndpointClosed);
-            }
-            core.check_alive(generation)?;
-            if conn.closed.load(Ordering::SeqCst) {
-                return Err(Error::ConnectionClosed);
-            }
-            if self.session.state.lock().closed {
-                return Err(Error::SessionClosed);
-            }
-            Ok(())
-        };
-        let mut rejected: std::collections::HashSet<MessageId> = std::collections::HashSet::new();
-        loop {
-            let polled = self.endpoint.poll_receive(
-                self.session.core.config().clock.as_ref(),
-                self.session.id,
-                self.session.track_mode(),
-                &started,
-                &alive,
-                waker,
-            )?;
-            match polled {
-                PollReceive::Ready(message) => {
-                    if let Some(selector) = &self.queue_selector {
-                        if !selector.matches(&message) {
-                            if self.session.track_mode() == TrackMode::InFlight {
-                                self.endpoint.ack_message(self.session.id, message.id());
-                            }
-                            let cycled = !rejected.insert(message.id());
-                            self.endpoint.insert(message, self.session.core.now());
-                            if cycled {
-                                // Every available message was seen and
-                                // rejected; park until new arrivals.
-                                self.endpoint.add_oneshot_waker(Arc::clone(waker));
-                                return Ok(PollReceive::Pending {
-                                    next_visible_at: None,
-                                });
-                            }
-                            continue;
-                        }
-                    }
-                    self.session.record_delivery(&self.endpoint, &message);
-                    return Ok(PollReceive::Ready(message));
-                }
-                pending @ PollReceive::Pending { .. } => return Ok(pending),
-            }
+        conn.started.load(Ordering::SeqCst) && !conn.closed.load(Ordering::SeqCst)
+    }
+
+    /// Checks the consumer, its session, its connection and the broker
+    /// are all still usable.
+    fn alive(&self) -> Result<(), Error> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Err(Error::EndpointClosed);
         }
+        self.session.check_open()
     }
 }
 
@@ -548,124 +492,38 @@ impl Consumer for BrokerConsumer {
     }
 
     fn receive(&mut self, timeout: Option<Duration>) -> Result<Option<Message>, Error> {
-        let conn = &self.session.conn;
-        let core = &self.session.core;
-        let closed_flag = &self.closed;
-        let generation = conn.generation;
-        let started = || conn.started.load(Ordering::SeqCst) && !conn.closed.load(Ordering::SeqCst);
-        let alive = || -> Result<(), Error> {
-            if closed_flag.load(Ordering::SeqCst) {
-                return Err(Error::EndpointClosed);
-            }
-            core.check_alive(generation)?;
-            if conn.closed.load(Ordering::SeqCst) {
-                return Err(Error::ConnectionClosed);
-            }
-            if self.session.state.lock().closed {
-                return Err(Error::SessionClosed);
-            }
-            Ok(())
-        };
-        // Message ids already inspected and rejected by this call's queue
-        // selector; seeing one again means we have cycled through every
-        // available message without a match.
-        let mut rejected: std::collections::HashSet<MessageId> = std::collections::HashSet::new();
-        let deadline = timeout.map(|t| self.session.core.now().saturating_add(t));
-        loop {
-            let received = self.endpoint.receive(
-                self.session.core.config().clock.as_ref(),
-                timeout,
-                self.session.id,
-                self.session.track_mode(),
-                &started,
-                &alive,
-            )?;
-            match received {
-                Some(message) => {
-                    // Queue selectors: a non-matching message must stay
-                    // available to other receivers; put it back and keep
-                    // waiting.
-                    if let Some(selector) = &self.queue_selector {
-                        if !selector.matches(&message) {
-                            if self.session.track_mode() == TrackMode::InFlight {
-                                // It was tracked in-flight; release it so
-                                // another consumer can take it.
-                                self.endpoint.ack_message(self.session.id, message.id());
-                            }
-                            let cycled = !rejected.insert(message.id());
-                            self.endpoint.insert(message, self.session.core.now());
-                            if cycled {
-                                let now = self.session.core.now();
-                                match deadline {
-                                    Some(deadline) if now < deadline => {
-                                        // Wait for new arrivals, then rescan.
-                                        std::thread::sleep(Duration::from_millis(1));
-                                        rejected.clear();
-                                    }
-                                    Some(_) => return Ok(None),
-                                    None => {
-                                        std::thread::sleep(Duration::from_millis(1));
-                                        rejected.clear();
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    self.session.record_delivery(&self.endpoint, &message);
-                    return Ok(Some((*message).clone()));
-                }
-                None => return Ok(None),
-            }
-        }
+        let received = self.endpoint.receive(
+            self.session.core.config().clock.as_ref(),
+            timeout,
+            self.session.id,
+            self.session.track_mode(),
+            self.queue_selector.as_ref(),
+            &|| self.started(),
+            &|| self.alive(),
+        )?;
+        Ok(received.map(|message| {
+            self.session.record_delivery(&self.endpoint, &message);
+            (*message).clone()
+        }))
     }
 
     fn try_receive_batch(&mut self, max: usize) -> Result<Vec<Message>, Error> {
-        let conn = &self.session.conn;
-        let core = &self.session.core;
-        let closed_flag = &self.closed;
-        let generation = conn.generation;
-        let started = || conn.started.load(Ordering::SeqCst) && !conn.closed.load(Ordering::SeqCst);
-        let alive = || -> Result<(), Error> {
-            if closed_flag.load(Ordering::SeqCst) {
-                return Err(Error::EndpointClosed);
-            }
-            core.check_alive(generation)?;
-            if conn.closed.load(Ordering::SeqCst) {
-                return Err(Error::ConnectionClosed);
-            }
-            if self.session.state.lock().closed {
-                return Err(Error::SessionClosed);
-            }
-            Ok(())
-        };
         let batch = self.endpoint.try_receive_batch(
             self.session.core.config().clock.as_ref(),
             self.session.id,
             self.session.track_mode(),
+            self.queue_selector.as_ref(),
             max,
-            &started,
-            &alive,
+            &|| self.started(),
+            &|| self.alive(),
         )?;
-        let mut delivered = Vec::with_capacity(batch.len());
-        for message in batch {
-            // Queue selectors: a non-matching message must stay available
-            // to other receivers. Unlike the blocking receive there is no
-            // wait-and-rescan here — non-matching messages are released
-            // back and simply excluded from this batch.
-            if let Some(selector) = &self.queue_selector {
-                if !selector.matches(&message) {
-                    if self.session.track_mode() == TrackMode::InFlight {
-                        self.endpoint.ack_message(self.session.id, message.id());
-                    }
-                    self.endpoint.insert(message, self.session.core.now());
-                    continue;
-                }
-            }
-            self.session.record_delivery(&self.endpoint, &message);
-            delivered.push((*message).clone());
-        }
-        Ok(delivered)
+        Ok(batch
+            .into_iter()
+            .map(|message| {
+                self.session.record_delivery(&self.endpoint, &message);
+                (*message).clone()
+            })
+            .collect())
     }
 
     fn set_waker(&mut self, waker: Arc<dyn Fn() + Send + Sync>) -> bool {

@@ -93,6 +93,11 @@
 //! test partitions its destinations across, making shard count a
 //! first-class scenario axis instead of an ambient environment variable.
 //!
+//! `drivers = thread|threads|reactor` is a retired key. Every driver now
+//! runs as a task on the harness's reactor, so all three values parse to
+//! the same spec as no key at all; any other value is still an error.
+//! Do not write it in new scenarios.
+//!
 //! A `[transport]` section controls where the drivers execute and
 //! whether the campaign journals:
 //!
@@ -433,16 +438,13 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
                     .map_err(|_| err(format!("bad shards {value:?}")))?;
                 spec.shards = Some(shards);
             }
+            // Retired: accepted as a no-op so older scenarios still parse.
             (Section::Test, "drivers") => {
-                spec.drivers = match value {
-                    "thread" | "threads" => crate::spec::DriverMode::Thread,
-                    "reactor" => crate::spec::DriverMode::Reactor,
-                    other => {
-                        return Err(err(format!(
-                            "drivers must be thread or reactor, got {other:?}"
-                        )))
-                    }
-                };
+                if !matches!(value, "thread" | "threads" | "reactor") {
+                    return Err(err(format!(
+                        "drivers must be thread or reactor, got {value:?}"
+                    )));
+                }
             }
             (Section::Test, "queue_bound") => {
                 let bound: usize = value
@@ -938,16 +940,25 @@ down = 80ms
     }
 
     #[test]
-    fn driver_mode_and_queue_bound_parse() {
-        let text = "[test]\nname = rx\ndrivers = reactor\nqueue_bound = 64\n\
+    fn retired_drivers_key_parses_to_the_same_spec_as_no_key() {
+        let text = "[test]\nname = rx\n\
+                    [node n]\n[producer]\ndestination = queue:q\nrate = steady 10\n\
+                    [consumer]\ndestination = queue:q\n";
+        let plain = parse_spec(text).unwrap();
+        for value in ["thread", "threads", "reactor"] {
+            let keyed = text.replace("name = rx\n", &format!("name = rx\ndrivers = {value}\n"));
+            assert_eq!(parse_spec(&keyed).unwrap(), plain, "drivers = {value}");
+        }
+        assert!(parse_spec("[test]\ndrivers = fibers\n").is_err());
+    }
+
+    #[test]
+    fn queue_bound_parses() {
+        let text = "[test]\nname = rx\nqueue_bound = 64\n\
                     [node n]\n[producer]\ndestination = queue:q\nrate = steady 10\n\
                     [consumer]\ndestination = queue:q\n";
         let spec = parse_spec(text).unwrap();
-        assert_eq!(spec.drivers, crate::spec::DriverMode::Reactor);
         assert_eq!(spec.queue_bound, Some(64));
-        let spec = parse_spec(&text.replace("drivers = reactor", "drivers = thread")).unwrap();
-        assert_eq!(spec.drivers, crate::spec::DriverMode::Thread);
-        assert!(parse_spec("[test]\ndrivers = fibers\n").is_err());
         assert!(parse_spec("[test]\nqueue_bound = lots\n").is_err());
         // queue_bound = 0 parses (lint rejects it with queue-bound-zero).
         let spec = parse_spec(&text.replace("queue_bound = 64", "queue_bound = 0")).unwrap();

@@ -1,6 +1,9 @@
-//! Producer and consumer driver threads: the "tests" of the paper's
-//! architecture, which create producers/consumers, exchange messages, and
-//! log every event.
+//! What every producer and consumer driver shares: the run's shared
+//! state, connection chains, the harness identity carried in message
+//! properties, and the open-loop producer engine. The closed-loop drivers
+//! themselves are reactor tasks (`reactor_drivers.rs`); together they are
+//! the "tests" of the paper's architecture, which create
+//! producers/consumers, exchange messages, and log every event.
 
 use crate::retry::{RetryPolicy, RetryState};
 use crate::spec::{ConsumerSpec, ProducerSpec, Subscription, TestSpec};
@@ -11,6 +14,7 @@ use jmst_api::id::{ClientId, TxId};
 use jmst_api::message::MessageDraft;
 use jmst_api::modes::SessionMode;
 use jmst_api::provider::{Connection, Consumer, Producer, Provider, Session};
+use jmst_api::value::Value;
 use jmst_load::SendDisposition;
 use jmst_sim::SimRng;
 use jmst_store::event::{EventKind, MessageRecord};
@@ -25,7 +29,7 @@ pub(crate) struct RunShared {
     pub provider: Arc<dyn Provider>,
     /// Producers stop when this is set (start of warm-down).
     pub stop_producing: AtomicBool,
-    /// Set once all producer threads have finished.
+    /// Set once every producer has finished.
     pub producers_done: AtomicBool,
     /// Hard abort (test daemon gave up on the run).
     pub abort: AtomicBool,
@@ -88,18 +92,6 @@ impl RunShared {
     }
 }
 
-/// Sleeps up to `total`, in slices, returning early on stop/abort.
-fn interruptible_sleep(shared: &RunShared, total: Duration, also_stop_on: &AtomicBool) {
-    const SLICE: Duration = Duration::from_millis(5);
-    let end = Instant::now() + total;
-    while Instant::now() < end {
-        if shared.should_abort() || also_stop_on.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(SLICE.min(end - Instant::now()));
-    }
-}
-
 pub(crate) struct ProducerChain {
     // Order matters for drop: producer, session, connection.
     pub(crate) producer: Box<dyn Producer>,
@@ -136,13 +128,10 @@ pub(crate) fn connect_producer(
 ) -> Result<ProducerChain, Error> {
     let mut connection = provider.create_connection(None)?;
     connection.start()?;
-    let mut session = connection.create_session(producer_session_mode(spec))?;
-    let producer = session.create_producer(&spec.destination)?;
-    Ok(ProducerChain {
-        producer,
-        session,
-        _connection: Some(connection),
-    })
+    let session = connection.create_session(producer_session_mode(spec))?;
+    let mut chain = producer_chain_on(session, spec)?;
+    chain._connection = Some(connection);
+    Ok(chain)
 }
 
 /// Property names carrying the harness-level producer identity inside
@@ -154,238 +143,47 @@ pub(crate) const PRODUCER_PROP: &str = "jmst_producer";
 /// Property carrying the harness-level send sequence number.
 pub(crate) const SEQUENCE_PROP: &str = "jmst_seq";
 
+/// Builds one message draft of `spec`: a synthetic body from `body_seed`,
+/// the spec's header fields and properties, and the harness-level
+/// producer identity and send sequence number.
+pub(crate) fn draft(
+    spec: &ProducerSpec,
+    body_seed: u64,
+    stable_id: u64,
+    sequence: u64,
+) -> MessageDraft {
+    let mut draft = MessageDraft::new(Body::synthetic(spec.body, spec.body_size, body_seed))
+        .priority(spec.priority)
+        .delivery_mode(spec.delivery_mode)
+        .time_to_live(spec.time_to_live)
+        .property(PRODUCER_PROP, Value::Long(stable_id as i64))
+        .expect("valid property")
+        .property(SEQUENCE_PROP, Value::Long(sequence as i64))
+        .expect("valid property");
+    // Spec-declared properties (validated by `TestSpec::validate`).
+    for (name, value) in &spec.properties {
+        draft = draft
+            .property(name.clone(), value.clone())
+            .expect("validated property");
+    }
+    draft
+}
+
 /// Rewrites a logged record with the harness-level identity embedded in
 /// the message properties, when present.
 pub(crate) fn apply_harness_identity(record: &mut MessageRecord) {
     use jmst_api::id::ProducerId;
-    let producer = record
-        .properties
-        .get(PRODUCER_PROP)
-        .and_then(jmst_api::value::Value::as_i64);
-    let sequence = record
-        .properties
-        .get(SEQUENCE_PROP)
-        .and_then(jmst_api::value::Value::as_i64);
+    let producer = record.properties.get(PRODUCER_PROP).and_then(Value::as_i64);
+    let sequence = record.properties.get(SEQUENCE_PROP).and_then(Value::as_i64);
     if let (Some(producer), Some(sequence)) = (producer, sequence) {
         record.producer = ProducerId::from_raw(producer as u64);
         record.sequence = sequence as u64;
     }
 }
 
-/// Runs one producer until the run period ends (or its message limit or
-/// the deadline is reached). Reconnects after provider failures, so a
-/// broker crash/recovery mid-run is survived. `stable_id` is the
-/// harness-level producer identity, stable across reconnects. When
-/// `initial` is given (shared-connection nodes), the driver uses that
-/// chain and never reconnects.
-pub(crate) fn producer_driver(
-    shared: &RunShared,
-    recorder: &NodeRecorder,
-    spec: &ProducerSpec,
-    seed: u64,
-    stable_id: u64,
-    initial: Option<ProducerChain>,
-) {
-    shared.start.wait();
-    let reconnectable = initial.is_none();
-    let mut retry = RetryState::new(shared.retry, seed.wrapping_add(0x9e37_79b9));
-    let mut gaps = spec.workload.generator(SimRng::seed_from_u64(seed));
-    let mut chain: Option<ProducerChain> = initial;
-    let mut sent: u64 = 0;
-    let mut in_batch: u32 = 0;
-    let mut current_tx: Option<TxId> = None;
-    let mut body_seed = seed;
-
-    'outer: loop {
-        if shared.should_abort() || shared.stop_producing.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Some(limit) = spec.message_limit {
-            if sent >= limit {
-                break;
-            }
-        }
-        // Pace the next send.
-        interruptible_sleep(shared, gaps.next_gap(), &shared.stop_producing);
-        if shared.should_abort() || shared.stop_producing.load(Ordering::SeqCst) {
-            break;
-        }
-        // (Re)connect if necessary.
-        if chain.is_none() {
-            if !reconnectable {
-                break; // shared chain was lost; the node owns the connection
-            }
-            match connect_producer(shared.provider.as_ref(), spec) {
-                Ok(connected) => {
-                    retry.succeeded();
-                    chain = Some(connected);
-                    in_batch = 0;
-                    current_tx = None;
-                }
-                Err(_) => {
-                    // Broker down or connect fault: back off and retry
-                    // under the shared policy.
-                    match retry.next_delay() {
-                        Ok(delay) => {
-                            interruptible_sleep(shared, delay, &shared.stop_producing);
-                            continue;
-                        }
-                        Err(reason) => {
-                            shared.give_up(format!("producer {stable_id}: {reason}"));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let active = chain.as_mut().expect("connected above");
-        // Allocate a transaction id lazily on the first send of a batch.
-        if spec.transacted_batch.is_some() && current_tx.is_none() {
-            current_tx = Some(TxId::from_raw(
-                shared.next_tx.fetch_add(1, Ordering::Relaxed),
-            ));
-        }
-        // How many drafts this provider call may carry: the configured
-        // send batch, capped so a message limit or an open transaction
-        // boundary is never crossed mid-batch.
-        let mut chunk = u64::from(spec.send_batch.max(1));
-        if let Some(limit) = spec.message_limit {
-            chunk = chunk.min(limit.saturating_sub(sent).max(1));
-        }
-        if let Some(batch) = spec.transacted_batch {
-            chunk = chunk.min(u64::from(batch.saturating_sub(in_batch).max(1)));
-        }
-        let mut drafts = Vec::with_capacity(chunk as usize);
-        loop {
-            body_seed = body_seed.wrapping_add(1);
-            let mut draft =
-                MessageDraft::new(Body::synthetic(spec.body, spec.body_size, body_seed))
-                    .priority(spec.priority)
-                    .delivery_mode(spec.delivery_mode)
-                    .time_to_live(spec.time_to_live)
-                    .property(
-                        PRODUCER_PROP,
-                        jmst_api::value::Value::Long(stable_id as i64),
-                    )
-                    .expect("valid property")
-                    .property(
-                        SEQUENCE_PROP,
-                        jmst_api::value::Value::Long((sent + drafts.len() as u64) as i64),
-                    )
-                    .expect("valid property");
-            // Spec-declared properties (validated by `TestSpec::validate`).
-            for (name, value) in &spec.properties {
-                draft = draft
-                    .property(name.clone(), value.clone())
-                    .expect("validated property");
-            }
-            drafts.push(draft);
-            if drafts.len() as u64 >= chunk {
-                break;
-            }
-            // Each further draft of the batch is paced by its own
-            // workload gap; stopping mid-batch ships what was built.
-            interruptible_sleep(shared, gaps.next_gap(), &shared.stop_producing);
-            if shared.should_abort() || shared.stop_producing.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        // A single draft takes the plain send path so `send_batch = 1`
-        // reproduces the unbatched driver exactly.
-        let outcome = if drafts.len() == 1 {
-            active
-                .producer
-                .send(drafts.pop().expect("one draft"))
-                .map(|message| vec![message])
-        } else {
-            active.producer.send_batch(drafts)
-        };
-        match outcome {
-            Ok(messages) => {
-                retry.succeeded();
-                for message in &messages {
-                    let mut record = MessageRecord::from_message(message);
-                    apply_harness_identity(&mut record);
-                    recorder.record(EventKind::Send {
-                        record,
-                        session: active.session.id(),
-                        tx: current_tx,
-                    });
-                }
-                sent += messages.len() as u64;
-                if let Some(batch) = spec.transacted_batch {
-                    in_batch += messages.len() as u32;
-                    if in_batch >= batch {
-                        let session_id = active.session.id();
-                        let tx = current_tx.take().expect("tx open");
-                        match active.session.commit() {
-                            Ok(()) => recorder.record(EventKind::Commit {
-                                session: session_id,
-                                tx,
-                            }),
-                            Err(_) => {
-                                // Lost with the broker; the sends of this
-                                // transaction were never effective.
-                                if reconnectable {
-                                    chain = None;
-                                }
-                            }
-                        }
-                        in_batch = 0;
-                    }
-                }
-            }
-            Err(error) => {
-                recorder.record(EventKind::SendFailed {
-                    producer: active.producer.id(),
-                    reason: error.to_string(),
-                });
-                if reconnectable {
-                    // Drop the chain and reconnect on the next iteration
-                    // (the reconnect attempt is what pays the retry).
-                    chain = None;
-                    current_tx = None;
-                } else {
-                    // Shared connection: pace the retries under the
-                    // shared policy.
-                    match retry.next_delay() {
-                        Ok(delay) => {
-                            interruptible_sleep(shared, delay, &shared.stop_producing);
-                        }
-                        Err(reason) => {
-                            shared.give_up(format!("producer {stable_id}: {reason}"));
-                            break 'outer;
-                        }
-                    }
-                }
-                if shared.should_abort() {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    // Commit any open transaction so tail messages are not lost to the
-    // analysis as "never sent".
-    if let Some(mut active) = chain {
-        if let Some(tx) = current_tx {
-            if in_batch > 0 {
-                let session_id = active.session.id();
-                if active.session.commit().is_ok() {
-                    recorder.record(EventKind::Commit {
-                        session: session_id,
-                        tx,
-                    });
-                }
-            }
-        }
-        let _ = active.producer.close();
-        let _ = active.session.close();
-    }
-}
-
 /// One producer spec as the open-loop engine sees it (`open_loop = on`):
-/// the same identity and seed material a closed-loop
-/// [`producer_driver`] thread would get.
+/// the same identity and seed material a closed-loop producer task would
+/// get.
 pub(crate) struct OpenLoopJob {
     pub recorder: NodeRecorder,
     pub spec: ProducerSpec,
@@ -464,26 +262,7 @@ impl jmst_load::Transport for OpenLoopTransport {
         }
         let chain = self.chains.get_mut(&init.job).expect("connected above");
         state.body_seed = state.body_seed.wrapping_add(1);
-        let mut draft = MessageDraft::new(Body::synthetic(
-            job.spec.body,
-            job.spec.body_size,
-            state.body_seed,
-        ))
-        .priority(job.spec.priority)
-        .delivery_mode(job.spec.delivery_mode)
-        .time_to_live(job.spec.time_to_live)
-        .property(
-            PRODUCER_PROP,
-            jmst_api::value::Value::Long(init.stable_id as i64),
-        )
-        .expect("valid property")
-        .property(SEQUENCE_PROP, jmst_api::value::Value::Long(seq as i64))
-        .expect("valid property");
-        for (name, value) in &job.spec.properties {
-            draft = draft
-                .property(name.clone(), value.clone())
-                .expect("validated property");
-        }
+        let draft = draft(&job.spec, state.body_seed, init.stable_id, seq);
         match chain.producer.send(draft) {
             Ok(message) => {
                 state.retry.succeeded();
@@ -516,8 +295,8 @@ impl jmst_load::Transport for OpenLoopTransport {
 }
 
 /// Drives every producer of the spec through the open-loop load engine.
-/// One controller thread (this function) replaces all the per-producer
-/// closed-loop threads: it waits at the start barrier like any driver,
+/// One controller thread (this function) replaces all the closed-loop
+/// producer tasks: it waits at the start barrier like any driver,
 /// expands each producer into `clients_per_producer` virtual clients, and
 /// runs them on a small worker pool until the runner raises warm-down or
 /// every limited client completes. `arrival_rate`, when set, replaces the
@@ -595,6 +374,19 @@ pub(crate) fn open_loop_producer_driver(
         })
         .collect();
     // Mirror the runner's stop/abort signals into the engine's stop flag.
+    run_watched(shared, true, |stop| {
+        let _report = LoadEngine::new(workers).run(clients, transports, None, Some(stop));
+    });
+}
+
+/// Waits at the start barrier, then runs `engine` with a stop flag that a
+/// watcher thread raises once the run aborts (or, with
+/// `stop_at_warm_down`, once producers are told to stop).
+pub(crate) fn run_watched(
+    shared: &Arc<RunShared>,
+    stop_at_warm_down: bool,
+    engine: impl FnOnce(Arc<AtomicBool>),
+) {
     let stop = Arc::new(AtomicBool::new(false));
     let done = Arc::new(AtomicBool::new(false));
     let watcher = {
@@ -603,7 +395,9 @@ pub(crate) fn open_loop_producer_driver(
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             while !done.load(Ordering::SeqCst) {
-                if shared.should_abort() || shared.stop_producing.load(Ordering::SeqCst) {
+                if shared.should_abort()
+                    || (stop_at_warm_down && shared.stop_producing.load(Ordering::SeqCst))
+                {
                     stop.store(true, Ordering::SeqCst);
                     return;
                 }
@@ -612,7 +406,7 @@ pub(crate) fn open_loop_producer_driver(
         })
     };
     shared.start.wait();
-    let _report = LoadEngine::new(workers).run(clients, transports, None, Some(stop));
+    engine(stop);
     done.store(true, Ordering::SeqCst);
     let _ = watcher.join();
 }
@@ -670,192 +464,6 @@ pub(crate) fn connect_consumer(
     let mut chain = consumer_chain_on(session, spec, client)?;
     chain._connection = Some(connection);
     Ok(chain)
-}
-
-/// Runs one consumer until the backlog is drained after warm-down (or the
-/// deadline passes). Handles acknowledgement/commit batching, optional
-/// disconnect/reconnect cycling, and reconnection after broker crashes.
-pub(crate) fn consumer_driver(
-    shared: &RunShared,
-    recorder: &NodeRecorder,
-    spec: &ConsumerSpec,
-    client: ClientId,
-    seed: u64,
-    initial: Option<ConsumerChain>,
-) {
-    shared.start.wait();
-    const POLL: Duration = Duration::from_millis(20);
-    let reconnectable = initial.is_none();
-    let mut retry = RetryState::new(shared.retry, seed.wrapping_add(0x6a09_e667));
-    let mut chain: Option<ConsumerChain> = initial;
-    if let Some(active) = &chain {
-        recorder.record(EventKind::ConsumerCreated {
-            consumer: active.consumer.id(),
-            endpoint: active.endpoint.clone(),
-            session_mode: spec.session_mode,
-            selector: spec.selector.clone(),
-        });
-    }
-    let mut received_total: u64 = 0;
-    let mut in_batch: u32 = 0;
-    let mut current_tx: Option<TxId> = None;
-    let mut last_delivery = Instant::now();
-    let mut reconnect_cycles: u32 = 0;
-
-    loop {
-        if shared.should_abort() {
-            break;
-        }
-        if chain.is_none() {
-            if !reconnectable {
-                break; // shared chain was lost; nothing more to do
-            }
-            match connect_consumer(shared.provider.as_ref(), spec, &client) {
-                Ok(connected) => {
-                    retry.succeeded();
-                    recorder.record(EventKind::ConsumerCreated {
-                        consumer: connected.consumer.id(),
-                        endpoint: connected.endpoint.clone(),
-                        session_mode: spec.session_mode,
-                        selector: spec.selector.clone(),
-                    });
-                    chain = Some(connected);
-                    in_batch = 0;
-                    current_tx = None;
-                }
-                Err(_) => {
-                    if shared.producers_done.load(Ordering::SeqCst)
-                        && last_delivery.elapsed() > shared.drain_quiet
-                    {
-                        break; // nothing more to wait for
-                    }
-                    match retry.next_delay() {
-                        Ok(delay) => {
-                            interruptible_sleep(shared, delay, &shared.abort);
-                            continue;
-                        }
-                        Err(reason) => {
-                            shared.give_up(format!("consumer {client}: {reason}"));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let mut connection_lost = false;
-        let mut cycle_reconnect = false;
-        let active = chain.as_mut().expect("connected above");
-        match active.consumer.receive(Some(POLL)) {
-            Ok(Some(message)) => {
-                retry.succeeded();
-                if !spec.think_time.is_zero() {
-                    std::thread::sleep(spec.think_time);
-                }
-                last_delivery = Instant::now();
-                received_total += 1;
-                if spec.session_mode == SessionMode::Transacted && current_tx.is_none() {
-                    current_tx = Some(TxId::from_raw(
-                        shared.next_tx.fetch_add(1, Ordering::Relaxed),
-                    ));
-                }
-                let mut record = MessageRecord::from_message(&message);
-                apply_harness_identity(&mut record);
-                recorder.record(EventKind::Receive {
-                    consumer: active.consumer.id(),
-                    endpoint: active.endpoint.clone(),
-                    record,
-                    session: active.session.id(),
-                    tx: current_tx,
-                });
-                in_batch += 1;
-                if in_batch >= spec.batch {
-                    match spec.session_mode {
-                        SessionMode::Transacted => {
-                            let session_id = active.session.id();
-                            let tx = current_tx.take().expect("tx open");
-                            match active.session.commit() {
-                                Ok(()) => recorder.record(EventKind::Commit {
-                                    session: session_id,
-                                    tx,
-                                }),
-                                Err(_) => connection_lost = true,
-                            }
-                        }
-                        SessionMode::ClientAcknowledge => {
-                            let session_id = active.session.id();
-                            if active.consumer.acknowledge().is_ok() {
-                                recorder.record(EventKind::Acknowledge {
-                                    session: session_id,
-                                });
-                            }
-                        }
-                        _ => {}
-                    }
-                    in_batch = 0;
-                }
-                // Disconnect/reconnect cycling.
-                if let Some(plan) = spec.reconnect {
-                    if reconnect_cycles < plan.max_cycles
-                        && received_total.is_multiple_of(plan.after_messages.max(1))
-                    {
-                        reconnect_cycles += 1;
-                        cycle_reconnect = true;
-                    }
-                }
-            }
-            Ok(None) => {
-                if shared.producers_done.load(Ordering::SeqCst)
-                    && last_delivery.elapsed() > shared.drain_quiet
-                {
-                    break;
-                }
-            }
-            Err(_) => {
-                // Crash or concurrent close: drop and reconnect (durable
-                // subscriptions resume where they left off).
-                connection_lost = true;
-            }
-        }
-        if cycle_reconnect {
-            finish_batch(
-                chain.as_mut().expect("active"),
-                spec,
-                &mut current_tx,
-                &mut in_batch,
-                recorder,
-            );
-            drop_chain(&mut chain, recorder);
-            interruptible_sleep(
-                shared,
-                spec.reconnect.expect("plan present").pause,
-                &shared.abort,
-            );
-        } else if connection_lost {
-            if reconnectable {
-                drop_chain(&mut chain, recorder);
-                current_tx = None;
-                in_batch = 0;
-            }
-            match retry.next_delay() {
-                Ok(delay) => interruptible_sleep(shared, delay, &shared.abort),
-                Err(reason) => {
-                    shared.give_up(format!("consumer {client}: {reason}"));
-                    break;
-                }
-            }
-        }
-    }
-    if let Some(mut active) = chain {
-        finish_batch(&mut active, spec, &mut current_tx, &mut in_batch, recorder);
-        let consumer_id = active.consumer.id();
-        let endpoint = active.endpoint.clone();
-        let _ = active.consumer.close();
-        let _ = active.session.close();
-        recorder.record(EventKind::ConsumerClosed {
-            consumer: consumer_id,
-            endpoint,
-        });
-    }
 }
 
 pub(crate) fn finish_batch(

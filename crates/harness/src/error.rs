@@ -11,7 +11,7 @@ pub enum HarnessError {
     InvalidSpec(String),
     /// A crash plan was given but no broker admin hook.
     MissingAdmin,
-    /// A driver thread failed to terminate; the partial trace is
+    /// A driver controller failed to terminate; the partial trace is
     /// preserved so the run can still be reported.
     TestHung {
         /// Which driver group hung.

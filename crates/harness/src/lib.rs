@@ -1,15 +1,17 @@
 //! # jmst-harness — the automated test harness
 //!
 //! The distributed test harness of the paper's §4, in-process: test
-//! specifications ([`spec`]), producer/consumer driver threads, the
-//! coordinated threaded runner ([`runner`]) with crash injection, the
+//! specifications ([`spec`]), producer/consumer drivers hosted as
+//! reactor tasks, the coordinated runner ([`runner`]) with crash
+//! injection, the
 //! scheduling/collection/analysis daemon prince ([`prince`]), and a
 //! virtual-time simulation runner ([`simrun`]) that feeds the same
 //! analysis pipeline for the performance figures.
 //!
 //! Where the paper distributes tests over JVMs coordinated by RMI, this
-//! harness runs driver threads coordinated by channels and atomics — the
-//! control plane still shares nothing with the middleware under test.
+//! harness runs drivers on a reactor worker pool coordinated by channels
+//! and atomics — the control plane still shares nothing with the
+//! middleware under test.
 //!
 //! # Examples
 //!
@@ -70,8 +72,8 @@ pub use retry::RetryPolicy;
 pub use runner::{BrokerAdmin, ThreadedRunner};
 pub use serialize::{serialize_spec, SerializeError};
 pub use spec::{
-    ConsumerSpec, CrashPlan, DriverMode, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec,
-    Subscription, TestSpec, TransportMode, TransportSpec,
+    ConsumerSpec, CrashPlan, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec, Subscription,
+    TestSpec, TransportMode, TransportSpec,
 };
 
 /// Convenient glob-import for harness users.
@@ -83,7 +85,7 @@ pub mod prelude {
     pub use crate::runner::{BrokerAdmin, ThreadedRunner};
     pub use crate::serialize::{serialize_spec, SerializeError};
     pub use crate::spec::{
-        ConsumerSpec, CrashPlan, DriverMode, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec,
-        Subscription, TestSpec, TransportMode, TransportSpec,
+        ConsumerSpec, CrashPlan, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec, Subscription,
+        TestSpec, TransportMode, TransportSpec,
     };
 }

@@ -1,7 +1,7 @@
 //! The multi-process daemon prince: worker processes, the framed
 //! control protocol, and crash-safe campaign resume.
 //!
-//! The in-process [`DaemonPrince`] runs driver threads inside its own
+//! The in-process [`DaemonPrince`] runs the drivers inside its own
 //! address space; a crashing driver can therefore take the prince (and
 //! the campaign's collected state) down with it. This module splits the
 //! harness the way the paper's §4 deployment does: a `jmst-princed`

@@ -1,28 +1,24 @@
-//! Reactor driver mode (`drivers = reactor`): every producer and
-//! consumer driver becomes a poll-driven state machine on one shared
-//! [`jmst_reactor::Reactor`] worker pool instead of owning an OS thread.
+//! The harness's producer and consumer drivers: each one is a
+//! poll-driven state machine on one shared [`jmst_reactor::Reactor`]
+//! worker pool, so a spec with hundreds of drivers occupies a handful of
+//! reactor workers and a parked driver costs nothing (O(ready) wake
+//! delivery, timers on the timing wheel).
 //!
-//! The state machines replicate the thread drivers' observable
-//! semantics — pacing from the workload's arrival gaps, send batching,
+//! The state machines implement the driver semantics the analysis
+//! relies on: pacing from the workload's arrival gaps, send batching,
 //! transacted commit boundaries, acknowledgement batching, reconnect
 //! cycling, crash-recovery reconnects under the shared
 //! [`RetryPolicy`](crate::retry::RetryPolicy), drain-quiet termination,
-//! and the run deadline — and record the identical event vocabulary, so
-//! a reactor-mode run is differentially comparable with a thread-mode
-//! run of the same spec (see `tests/reactor_differential.rs`). What
-//! changes is the execution shape: a spec with hundreds of drivers
-//! occupies a handful of reactor workers, parked drivers cost nothing
-//! (O(ready) wake delivery, timers on the timing wheel), and consumers
-//! that the provider can wake (`Consumer::set_waker`) are polled on
-//! arrival instead of on a 20 ms cadence.
+//! and the run deadline. Consumers that the provider can wake
+//! (`Consumer::set_waker`) are polled on arrival; the others fall back
+//! to a 20 ms receive cadence.
 
 use crate::drivers::{
-    apply_harness_identity, connect_consumer, connect_producer, drop_chain, finish_batch,
-    ConsumerChain, ProducerChain, RunShared, PRODUCER_PROP, SEQUENCE_PROP,
+    apply_harness_identity, connect_consumer, connect_producer, draft, drop_chain, finish_batch,
+    run_watched, ConsumerChain, ProducerChain, RunShared,
 };
 use crate::retry::RetryState;
 use crate::spec::{ConsumerSpec, ProducerSpec};
-use jmst_api::body::Body;
 use jmst_api::id::{ClientId, TxId};
 use jmst_api::message::MessageDraft;
 use jmst_api::modes::SessionMode;
@@ -30,12 +26,12 @@ use jmst_reactor::{Context, Poll, Reactor, Task};
 use jmst_sim::{ArrivalGen, SimRng};
 use jmst_store::event::{EventKind, MessageRecord};
 use jmst_store::trace::NodeRecorder;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything one producer driver needs, thread- and reactor-mode alike.
-pub(crate) struct ReactorProducerJob {
+/// Everything one producer driver needs.
+pub(crate) struct ProducerJob {
     pub recorder: NodeRecorder,
     pub spec: ProducerSpec,
     pub seed: u64,
@@ -45,7 +41,7 @@ pub(crate) struct ReactorProducerJob {
 }
 
 /// Everything one consumer driver needs.
-pub(crate) struct ReactorConsumerJob {
+pub(crate) struct ConsumerJob {
     pub recorder: NodeRecorder,
     pub spec: ConsumerSpec,
     pub client: ClientId,
@@ -53,25 +49,25 @@ pub(crate) struct ReactorConsumerJob {
     pub initial: Option<ConsumerChain>,
 }
 
-/// Fallback receive cadence when the provider cannot wake us — the same
-/// 20 ms granularity the thread driver's blocking `receive` uses.
+/// Fallback receive cadence when the provider cannot wake us; also how
+/// often an idle consumer re-checks the drain-quiet window.
 const POLL: Duration = Duration::from_millis(20);
 /// Messages one consumer may process in a single poll before yielding,
 /// so a hot consumer cannot starve its worker's timers.
 const RECEIVE_SLICE: usize = 64;
 
 /// Runs every driver of the spec on one reactor. Called on a dedicated
-/// controller thread that stands in for all the per-driver threads: it
-/// waits at the start barrier once, then runs the reactor until every
-/// driver state machine has finished (or the run is aborted).
+/// controller thread: it waits at the start barrier once, then runs the
+/// reactor until every driver state machine has finished (or the run is
+/// aborted).
 ///
-/// `producers_done` is raised by the last producer task to finish —
-/// thread mode raises it after joining the producer threads; here the
-/// tasks share the controller, so the count lives with them.
+/// `producers_done` is raised by the last producer task to finish: the
+/// producers share the controller with the consumers, so the runner
+/// cannot learn it from a join, and the count lives with the tasks.
 pub(crate) fn run_reactor_drivers(
     shared: &Arc<RunShared>,
-    producers: Vec<ReactorProducerJob>,
-    consumers: Vec<ReactorConsumerJob>,
+    producers: Vec<ProducerJob>,
+    consumers: Vec<ConsumerJob>,
 ) {
     let total = producers.len() + consumers.len();
     if total == 0 {
@@ -124,6 +120,7 @@ pub(crate) fn run_reactor_drivers(
             current_tx: None,
             last_delivery: Instant::now(),
             reconnect_cycles: 0,
+            paused_until: None,
             started: false,
             finished: false,
         }));
@@ -133,26 +130,9 @@ pub(crate) fn run_reactor_drivers(
     // an aborted run tears the task set down promptly (parked tasks are
     // polled with `stopping = true` by the shutdown sweep). Producers
     // observe `stop_producing` themselves on their next timer fire.
-    let stop = Arc::new(AtomicBool::new(false));
-    let done = Arc::new(AtomicBool::new(false));
-    let watcher = {
-        let shared = Arc::clone(shared);
-        let stop = Arc::clone(&stop);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            while !done.load(Ordering::SeqCst) {
-                if shared.should_abort() {
-                    stop.store(true, Ordering::SeqCst);
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        })
-    };
-    shared.start.wait();
-    let _ = reactor.run(Some(stop), None);
-    done.store(true, Ordering::SeqCst);
-    let _ = watcher.join();
+    run_watched(shared, false, |stop| {
+        let _ = reactor.run(Some(stop), None);
+    });
 }
 
 /// What shipping an accumulated batch of drafts led to.
@@ -160,7 +140,7 @@ enum Ship {
     /// Sent (commit bookkeeping handled); pace the next draft.
     Sent,
     /// Send failed and the chain was dropped; the reconnect on the next
-    /// gap pays the retry, as in the thread driver.
+    /// gap pays the retry.
     Lost,
     /// Send failed on a shared (non-reconnectable) chain; back off this
     /// long before the next gap.
@@ -212,39 +192,17 @@ impl ProducerTask {
         cx.wake_after(gap);
     }
 
-    /// Builds the next draft of the batch, identical to the thread
-    /// driver's draft loop body.
+    /// Builds the next draft of the batch.
     fn push_draft(&mut self) {
         self.body_seed = self.body_seed.wrapping_add(1);
-        let mut draft = MessageDraft::new(Body::synthetic(
-            self.spec.body,
-            self.spec.body_size,
-            self.body_seed,
-        ))
-        .priority(self.spec.priority)
-        .delivery_mode(self.spec.delivery_mode)
-        .time_to_live(self.spec.time_to_live)
-        .property(
-            PRODUCER_PROP,
-            jmst_api::value::Value::Long(self.stable_id as i64),
-        )
-        .expect("valid property")
-        .property(
-            SEQUENCE_PROP,
-            jmst_api::value::Value::Long((self.sent + self.drafts.len() as u64) as i64),
-        )
-        .expect("valid property");
-        for (name, value) in &self.spec.properties {
-            draft = draft
-                .property(name.clone(), value.clone())
-                .expect("validated property");
-        }
+        let sequence = self.sent + self.drafts.len() as u64;
+        let draft = draft(&self.spec, self.body_seed, self.stable_id, sequence);
         self.drafts.push(draft);
     }
 
-    /// Sends the accumulated batch and applies the thread driver's
-    /// outcome handling (events, transacted commit boundary, chain
-    /// drop / retry pacing on failure).
+    /// Sends the accumulated batch and handles the outcome (events,
+    /// transacted commit boundary, chain drop / retry pacing on
+    /// failure).
     fn ship(&mut self) -> Ship {
         let mut drafts = std::mem::take(&mut self.drafts);
         let active = self.chain.as_mut().expect("chain present to ship");
@@ -317,9 +275,9 @@ impl ProducerTask {
         }
     }
 
-    /// The thread driver's epilogue: commit any open transaction, close
-    /// the chain, and raise `producers_done` when this was the last
-    /// producer standing.
+    /// Commits any open transaction, so tail messages are not lost to
+    /// the analysis as "never sent", closes the chain, and raises
+    /// `producers_done` when this was the last producer standing.
     fn finalize(&mut self) -> Poll {
         if let Some(mut active) = self.chain.take() {
             if let Some(tx) = self.current_tx.take() {
@@ -350,9 +308,8 @@ impl Task for ProducerTask {
             return Poll::Ready;
         }
         if !self.started {
-            // First poll: pace the first draft. The thread driver's
-            // outer loop sleeps one gap before every draft, including
-            // the very first.
+            // First poll: pace the first draft. Every draft waits one
+            // gap, including the very first.
             self.started = true;
             if self.stop_requested(cx) || self.limit_reached() {
                 return self.finalize();
@@ -361,16 +318,14 @@ impl Task for ProducerTask {
             return Poll::Pending;
         }
         if self.stop_requested(cx) {
-            // Stopping mid-batch ships what was built, as the thread
-            // driver does when its pacing sleep is interrupted.
+            // Stopping mid-batch ships what was built.
             if !self.drafts.is_empty() && self.chain.is_some() {
                 let _ = self.ship();
             }
             return self.finalize();
         }
         if self.in_backoff {
-            // Backoff elapsed; the next gap paces the retry, matching
-            // the thread driver's `continue` back to its pacing sleep.
+            // Backoff elapsed; the next gap paces the retry.
             self.in_backoff = false;
             self.arm_gap(cx);
             return Poll::Pending;
@@ -452,6 +407,11 @@ impl Task for ProducerTask {
 /// [`set_waker`](jmst_api::provider::Consumer::set_waker) (the
 /// reference broker does), deliveries enqueue the task on the ready
 /// list directly; the `POLL` timer is only the safety net.
+///
+/// Wakes are hints, not commands: a provider waker or a stale `POLL`
+/// timer may poll the task while it is meant to be idle, so every pause
+/// (think time, reconnect pause, retry backoff) is held by `paused_until`
+/// rather than by the timer alone.
 struct ConsumerTask {
     shared: Arc<RunShared>,
     recorder: NodeRecorder,
@@ -465,11 +425,22 @@ struct ConsumerTask {
     current_tx: Option<TxId>,
     last_delivery: Instant,
     reconnect_cycles: u32,
+    /// Reactor time (nanoseconds) before which the consumer must not
+    /// act; its timer is armed by [`ConsumerTask::pause`].
+    paused_until: Option<u64>,
     started: bool,
     finished: bool,
 }
 
 impl ConsumerTask {
+    /// Parks the consumer for `delay`; earlier wakes are ignored.
+    fn pause(&mut self, cx: &mut Context<'_>, delay: Duration) -> Poll {
+        let until = cx.now_nanos().saturating_add(delay.as_nanos() as u64);
+        self.paused_until = Some(until);
+        cx.wake_at_nanos(until);
+        Poll::Pending
+    }
+
     fn record_created(&self) {
         if let Some(active) = &self.chain {
             self.recorder.record(EventKind::ConsumerCreated {
@@ -487,9 +458,8 @@ impl ConsumerTask {
     }
 
     /// Receive failure / commit failure: drop the chain (when ours to
-    /// drop) and pace the retry, or give up. Mirrors the thread
-    /// driver's `connection_lost` block — on a shared chain the broken
-    /// chain is kept and retried, exactly as there.
+    /// drop) and pace the retry, or give up. A shared chain belongs to
+    /// the node, so it is kept and retried.
     fn connection_lost(&mut self, cx: &mut Context<'_>) -> Poll {
         if self.reconnectable {
             drop_chain(&mut self.chain, &self.recorder);
@@ -497,10 +467,7 @@ impl ConsumerTask {
             self.in_batch = 0;
         }
         match self.retry.next_delay() {
-            Ok(delay) => {
-                cx.wake_after(delay);
-                Poll::Pending
-            }
+            Ok(delay) => self.pause(cx, delay),
             Err(reason) => {
                 self.shared
                     .give_up(format!("consumer {}: {reason}", self.client));
@@ -510,23 +477,16 @@ impl ConsumerTask {
     }
 
     fn finalize(&mut self) -> Poll {
-        if let Some(mut active) = self.chain.take() {
+        if let Some(active) = self.chain.as_mut() {
             finish_batch(
-                &mut active,
+                active,
                 &self.spec,
                 &mut self.current_tx,
                 &mut self.in_batch,
                 &self.recorder,
             );
-            let consumer_id = active.consumer.id();
-            let endpoint = active.endpoint.clone();
-            let _ = active.consumer.close();
-            let _ = active.session.close();
-            self.recorder.record(EventKind::ConsumerClosed {
-                consumer: consumer_id,
-                endpoint,
-            });
         }
+        drop_chain(&mut self.chain, &self.recorder);
         self.finished = true;
         Poll::Ready
     }
@@ -547,6 +507,13 @@ impl Task for ConsumerTask {
         if cx.stopping() || self.shared.should_abort() {
             return self.finalize();
         }
+        if let Some(until) = self.paused_until {
+            if cx.now_nanos() < until {
+                // An early wake: the pause timer is still armed.
+                return Poll::Pending;
+            }
+            self.paused_until = None;
+        }
         if self.chain.is_none() {
             if !self.reconnectable {
                 return self.finalize();
@@ -565,10 +532,7 @@ impl Task for ConsumerTask {
                         return self.finalize();
                     }
                     return match self.retry.next_delay() {
-                        Ok(delay) => {
-                            cx.wake_after(delay);
-                            Poll::Pending
-                        }
+                        Ok(delay) => self.pause(cx, delay),
                         Err(reason) => {
                             self.shared
                                 .give_up(format!("consumer {}: {reason}", self.client));
@@ -649,8 +613,7 @@ impl Task for ConsumerTask {
                                 &self.recorder,
                             );
                             drop_chain(&mut self.chain, &self.recorder);
-                            cx.wake_after(plan.pause);
-                            return Poll::Pending;
+                            return self.pause(cx, plan.pause);
                         }
                     }
                     if lost {
@@ -659,8 +622,7 @@ impl Task for ConsumerTask {
                     if !self.spec.think_time.is_zero() {
                         // Simulated processing time: pause this consumer
                         // only, without occupying a worker.
-                        cx.wake_after(self.spec.think_time);
-                        return Poll::Pending;
+                        return self.pause(cx, self.spec.think_time);
                     }
                     processed += 1;
                     if processed >= RECEIVE_SLICE {
@@ -674,7 +636,7 @@ impl Task for ConsumerTask {
                     }
                     // The provider's waker (when supported) beats this
                     // timer; either way the drain-quiet window is
-                    // re-checked at thread-driver cadence.
+                    // re-checked every `POLL`.
                     cx.wake_after(POLL);
                     return Poll::Pending;
                 }

@@ -11,7 +11,7 @@
 //! whatever trace was salvaged.
 //!
 //! A "client" here is a logical producer or consumer, not a thread: a
-//! closed-loop driver thread owns exactly one [`RetryState`], while the
+//! closed-loop driver task owns exactly one [`RetryState`], while the
 //! open-loop engine multiplexes thousands of virtual clients — each
 //! with its own [`RetryState`] — onto a few workers, so one stalled
 //! client exhausts only its own budget.
@@ -72,7 +72,7 @@ impl RetryPolicy {
 
 /// Per-client retry state: consumes the budget, tracks the current
 /// operation's deadline, and grows the backoff. Instantiated once per
-/// closed-loop driver thread and once per open-loop virtual client.
+/// closed-loop driver task and once per open-loop virtual client.
 #[derive(Debug)]
 pub(crate) struct RetryState {
     policy: RetryPolicy,

@@ -1,12 +1,13 @@
-//! The threaded test runner: executes one [`TestSpec`] against a real
-//! provider, coordinating driver threads through the warm-up / run /
-//! warm-down phases, injecting crashes when planned, and returning the
-//! merged execution trace.
+//! The test runner: executes one [`TestSpec`] against a real provider,
+//! coordinating the drivers (reactor tasks, plus the open-loop engine
+//! when `open_loop = on`) through the warm-up / run / warm-down phases,
+//! injecting crashes when planned, and returning the merged execution
+//! trace.
 
-use crate::drivers::{consumer_driver, producer_driver, RunShared};
+use crate::drivers::RunShared;
 use crate::error::HarnessError;
-use crate::reactor_drivers::{run_reactor_drivers, ReactorConsumerJob, ReactorProducerJob};
-use crate::spec::{DriverMode, TestSpec};
+use crate::reactor_drivers::{run_reactor_drivers, ConsumerJob, ProducerJob};
+use crate::spec::TestSpec;
 use jmst_api::id::{ClientId, NodeId};
 use jmst_api::provider::Provider;
 use jmst_api::time::{Clock, SkewedClock, SystemClock};
@@ -62,8 +63,8 @@ impl BrokerAdmin for jmst_broker::ReferenceBroker {
 /// Executes one test to completion.
 #[derive(Debug, Default, Clone)]
 pub struct ThreadedRunner {
-    /// Extra wait, on top of the spec's periods, before a driver thread
-    /// is declared hung.
+    /// Extra wait, on top of the spec's periods, before a driver
+    /// controller thread is declared hung.
     pub join_grace: Duration,
 }
 
@@ -82,11 +83,11 @@ impl ThreadedRunner {
     ///
     /// Returns [`HarnessError::InvalidSpec`] for a malformed spec,
     /// [`HarnessError::MissingAdmin`] when a crash is planned without an
-    /// admin hook, [`HarnessError::TestHung`] when a driver thread fails
-    /// to terminate, and [`HarnessError::Inconclusive`] when a driver
-    /// exhausted its retry budget or died — the latter two preserve the
-    /// partial trace inside the error so the daemon prince can still
-    /// report whatever was salvaged.
+    /// admin hook, [`HarnessError::TestHung`] when a driver controller
+    /// thread fails to terminate, and [`HarnessError::Inconclusive`] when
+    /// a driver exhausted its retry budget or died — the latter two
+    /// preserve the partial trace inside the error so the daemon prince
+    /// can still report whatever was salvaged.
     pub fn run(
         &self,
         provider: Arc<dyn Provider>,
@@ -122,29 +123,17 @@ impl ThreadedRunner {
         if spec.crash.is_some() && admin.is_none() {
             return Err(HarnessError::MissingAdmin);
         }
-        // How many OS threads wait at the start barrier. Open-loop runs
-        // multiplex every producer onto one engine controller thread;
-        // reactor mode multiplexes all its drivers onto one reactor
-        // controller; closed-loop thread mode gives each driver its own.
-        let reactor_mode = spec.drivers == DriverMode::Reactor;
+        // How many controller threads wait at the start barrier: one for
+        // the open-loop engine when it hosts the producers, and one for
+        // the reactor hosting every other driver.
+        let open_loop_producers = spec.open_loop && spec.producer_count() > 0;
         // Producers hosted as reactor tasks raise `producers_done`
-        // themselves (last task standing); every other shape leaves it
+        // themselves (last task standing); the open-loop engine leaves it
         // to the runner's join point.
-        let producers_on_reactor = reactor_mode && !spec.open_loop && spec.producer_count() > 0;
-        let driver_count = if reactor_mode {
-            let open_loop_controller = usize::from(spec.open_loop && spec.producer_count() > 0);
-            let reactor_hosted = if spec.open_loop {
-                spec.consumer_count()
-            } else {
-                spec.producer_count() + spec.consumer_count()
-            };
-            open_loop_controller + usize::from(reactor_hosted > 0)
-        } else if spec.open_loop {
-            usize::from(spec.producer_count() > 0) + spec.consumer_count()
-        } else {
-            spec.producer_count() + spec.consumer_count()
-        };
-        let shared = Arc::new(RunShared::new(Arc::clone(&provider), spec, driver_count));
+        let producers_on_reactor = !spec.open_loop && spec.producer_count() > 0;
+        let reactor_hosted = spec.consumer_count() > 0 || producers_on_reactor;
+        let controllers = usize::from(open_loop_producers) + usize::from(reactor_hosted);
+        let shared = Arc::new(RunShared::new(Arc::clone(&provider), spec, controllers));
         let recorder = Recorder::new();
         if let Some(sink) = sink {
             recorder.attach_sink(sink);
@@ -158,20 +147,6 @@ impl ThreadedRunner {
         // connection, which the runner keeps alive for the whole test.
         // All fallible construction happens *before* any thread spawns,
         // so a failure cannot strand threads on the start barrier.
-        struct ProducerJob {
-            recorder: jmst_store::trace::NodeRecorder,
-            spec: crate::spec::ProducerSpec,
-            seed: u64,
-            stable_id: u64,
-            initial: Option<crate::drivers::ProducerChain>,
-        }
-        struct ConsumerJob {
-            recorder: jmst_store::trace::NodeRecorder,
-            spec: crate::spec::ConsumerSpec,
-            client: ClientId,
-            seed: u64,
-            initial: Option<crate::drivers::ConsumerChain>,
-        }
         let mut producer_jobs: Vec<ProducerJob> = Vec::new();
         let mut consumer_jobs: Vec<ConsumerJob> = Vec::new();
         let mut shared_connections: Vec<Box<dyn jmst_api::provider::Connection>> = Vec::new();
@@ -275,7 +250,7 @@ impl ThreadedRunner {
         // Everything constructible was constructed; now spawn.
         let mut producer_handles = Vec::new();
         let mut consumer_handles = Vec::new();
-        if spec.open_loop {
+        if open_loop_producers {
             // All producers ride one engine controller thread; virtual
             // client 0 of each producer keeps the closed-loop identity.
             let jobs: Vec<crate::drivers::OpenLoopJob> = producer_jobs
@@ -287,109 +262,30 @@ impl ThreadedRunner {
                     stable_id: job.stable_id,
                 })
                 .collect();
-            if !jobs.is_empty() {
-                let shared = Arc::clone(&shared);
-                let clients = spec.clients.unwrap_or(1);
-                let arrival_rate = spec.arrival_rate;
-                producer_handles.push(std::thread::spawn(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        crate::drivers::open_loop_producer_driver(
-                            &shared,
-                            jobs,
-                            clients,
-                            arrival_rate,
-                        );
-                    }));
-                    if result.is_err() {
-                        shared.give_up("open-loop engine: controller panicked".to_owned());
-                    }
-                }));
-            }
-        } else if !reactor_mode {
-            for job in producer_jobs {
-                let shared = Arc::clone(&shared);
-                producer_handles.push(std::thread::spawn(move || {
-                    let stable_id = job.stable_id;
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        producer_driver(
-                            &shared,
-                            &job.recorder,
-                            &job.spec,
-                            job.seed,
-                            stable_id,
-                            job.initial,
-                        );
-                    }));
-                    if result.is_err() {
-                        shared.give_up(format!("producer {stable_id}: driver panicked"));
-                    }
-                }));
-            }
-            producer_jobs = Vec::new();
+            let clients = spec.clients.unwrap_or(1);
+            let arrival_rate = spec.arrival_rate;
+            producer_handles.push(spawn_controller(
+                &shared,
+                "open-loop engine",
+                move |shared| {
+                    crate::drivers::open_loop_producer_driver(shared, jobs, clients, arrival_rate);
+                },
+            ));
         }
-        if reactor_mode {
-            // All reactor-hosted drivers share one controller thread
-            // running the worker pool. Under open_loop the producers
-            // already rode the engine controller above, so only the
-            // consumers mount here.
-            let reactor_producers: Vec<ReactorProducerJob> = producer_jobs
-                .into_iter()
-                .map(|job| ReactorProducerJob {
-                    recorder: job.recorder,
-                    spec: job.spec,
-                    seed: job.seed,
-                    stable_id: job.stable_id,
-                    initial: job.initial,
-                })
-                .collect();
-            let reactor_consumers: Vec<ReactorConsumerJob> = consumer_jobs
-                .into_iter()
-                .map(|job| ReactorConsumerJob {
-                    recorder: job.recorder,
-                    spec: job.spec,
-                    client: job.client,
-                    seed: job.seed,
-                    initial: job.initial,
-                })
-                .collect();
-            if !reactor_producers.is_empty() || !reactor_consumers.is_empty() {
-                let shared = Arc::clone(&shared);
-                let hosts_consumers = !reactor_consumers.is_empty();
-                let handle = std::thread::spawn(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_reactor_drivers(&shared, reactor_producers, reactor_consumers);
-                    }));
-                    if result.is_err() {
-                        shared.give_up("reactor drivers: controller panicked".to_owned());
-                    }
-                });
-                // The controller finishes when its last task does; file
-                // it under whichever stage it can actually hang.
-                if hosts_consumers {
-                    consumer_handles.push(handle);
-                } else {
-                    producer_handles.push(handle);
-                }
-            }
-        } else {
-            for job in consumer_jobs {
-                let shared = Arc::clone(&shared);
-                consumer_handles.push(std::thread::spawn(move || {
-                    let client = job.client.clone();
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        consumer_driver(
-                            &shared,
-                            &job.recorder,
-                            &job.spec,
-                            job.client,
-                            job.seed,
-                            job.initial,
-                        );
-                    }));
-                    if result.is_err() {
-                        shared.give_up(format!("consumer {client}: driver panicked"));
-                    }
-                }));
+        if reactor_hosted {
+            // Every other driver shares one controller thread running the
+            // reactor worker pool. Under open_loop the producers already
+            // rode the engine controller above, so only the consumers
+            // mount here.
+            let handle = spawn_controller(&shared, "reactor drivers", move |shared| {
+                run_reactor_drivers(shared, producer_jobs, consumer_jobs);
+            });
+            // The controller finishes when its last task does; file it
+            // under whichever stage it can actually hang.
+            if spec.consumer_count() > 0 {
+                consumer_handles.push(handle);
+            } else {
+                producer_handles.push(handle);
             }
         }
 
@@ -446,8 +342,8 @@ impl ThreadedRunner {
         }
         if !producers_on_reactor {
             // Reactor-hosted producers share the controller thread with
-            // the consumers, so the last producer *task* raises this
-            // flag instead of the join above.
+            // the consumers, so there the last producer *task* raises
+            // this flag instead of the join above.
             shared.producers_done.store(true, Ordering::SeqCst);
         }
         let consumer_deadline = Instant::now() + spec.warm_down + self.join_grace;
@@ -479,6 +375,22 @@ impl ThreadedRunner {
         }
         Ok(recorder.into_trace())
     }
+}
+
+/// Spawns a driver controller thread. A panic in it gives the run up, so
+/// the run ends inconclusive instead of hanging or killing the runner.
+fn spawn_controller(
+    shared: &Arc<RunShared>,
+    name: &'static str,
+    controller: impl FnOnce(&Arc<RunShared>) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| controller(&shared)));
+        if result.is_err() {
+            shared.give_up(format!("{name}: controller panicked"));
+        }
+    })
 }
 
 /// Joins all handles, giving up at `deadline`. Returns `true` if all
@@ -535,28 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn reactor_mode_smoke_run_produces_clean_trace() {
-        let broker = ReferenceBroker::new();
-        let spec = small_spec().reactor_drivers();
-        let trace = ThreadedRunner::new()
-            .run(Arc::new(broker), None, &spec)
-            .unwrap();
-        assert!(!trace.is_empty());
-        let report = Analyzer::new().analyze(&trace);
-        assert!(report.passed(), "{report}");
-        assert!(report.sends > 10, "sent only {}", report.sends);
-        assert_eq!(report.sends, report.receives, "{report}");
-    }
-
-    #[test]
-    fn reactor_mode_survives_a_broker_crash() {
+    fn drivers_survive_a_broker_crash() {
         let broker = Arc::new(ReferenceBroker::new());
-        let spec = small_spec()
-            .reactor_drivers()
-            .with_crash(crate::spec::CrashPlan {
-                crash_after: Duration::from_millis(80),
-                down_for: Duration::from_millis(40),
-            });
+        let spec = small_spec().with_crash(crate::spec::CrashPlan {
+            crash_after: Duration::from_millis(80),
+            down_for: Duration::from_millis(40),
+        });
         let trace = ThreadedRunner::new()
             .run(
                 Arc::clone(&broker) as Arc<dyn Provider>,

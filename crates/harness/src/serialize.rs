@@ -386,9 +386,6 @@ pub fn serialize_spec(spec: &TestSpec) -> Result<String> {
     if let Some(shards) = spec.shards {
         let _ = writeln!(out, "shards = {shards}");
     }
-    if spec.drivers == crate::spec::DriverMode::Reactor {
-        out.push_str("drivers = reactor\n");
-    }
     if let Some(bound) = spec.queue_bound {
         let _ = writeln!(out, "queue_bound = {bound}");
     }
@@ -563,17 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn reactor_drivers_and_queue_bound_round_trip() {
-        let spec = TestSpec::new("rx")
-            .reactor_drivers()
-            .with_queue_bound(128)
-            .node(
-                NodeSpec::new("n")
-                    .producer(ProducerSpec::steady(Destination::queue("q"), 10.0, 64))
-                    .consumer(ConsumerSpec::auto(Destination::queue("q"))),
-            );
+    fn queue_bound_round_trips() {
+        let spec = TestSpec::new("rx").with_queue_bound(128).node(
+            NodeSpec::new("n")
+                .producer(ProducerSpec::steady(Destination::queue("q"), 10.0, 64))
+                .consumer(ConsumerSpec::auto(Destination::queue("q"))),
+        );
         let text = serialize_spec(&spec).unwrap();
-        assert!(text.contains("drivers = reactor"), "{text}");
         assert!(text.contains("queue_bound = 128"), "{text}");
         assert_eq!(parse_spec(&text).unwrap(), spec);
     }

@@ -1,6 +1,6 @@
 //! The simulation runner: executes a queueing-model scenario in virtual
 //! time and renders its outcome in the same execution-trace format the
-//! threaded runner produces, so one analysis pipeline serves both — the
+//! live runner produces, so one analysis pipeline serves both — the
 //! performance figures (paper Figures 2 and 3) are generated this way.
 
 use jmst_api::destination::{Destination, EndpointId, TopicName};

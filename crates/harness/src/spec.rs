@@ -396,26 +396,10 @@ impl FaultPlan {
     }
 }
 
-/// How the harness executes a test's producer and consumer drivers
-/// (scenario key `drivers = thread|reactor` in the `[test]` section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum DriverMode {
-    /// One OS thread per driver — the original closed-loop harness and
-    /// the compatibility baseline the reactor mode is differentially
-    /// tested against.
-    #[default]
-    Thread,
-    /// Drivers run as poll-driven state-machine tasks on one shared
-    /// [`jmst_reactor`] worker pool: the same RetryPolicy, fault
-    /// handling, transacted batching, reconnect cycling, and per-run
-    /// deadline semantics, at a fraction of the thread count.
-    Reactor,
-}
-
 /// Where a test's drivers execute relative to the scheduling prince.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum TransportMode {
-    /// Drivers run as threads inside the prince's own process (the
+    /// Drivers run inside the prince's own process (the
     /// default, and the only mode the in-process `DaemonPrince` uses).
     #[default]
     Thread,
@@ -573,12 +557,6 @@ pub struct TestSpec {
     /// makes shard count a first-class corpus axis.
     #[serde(default)]
     pub shards: Option<u32>,
-    /// How producer/consumer drivers execute (scenario key
-    /// `drivers = thread|reactor`). `Thread` is the original
-    /// one-OS-thread-per-driver harness; `Reactor` runs every driver as
-    /// a poll-driven state machine on one shared reactor worker pool.
-    #[serde(default)]
-    pub drivers: DriverMode,
     /// Bounded per-destination backlog for the broker under test
     /// (scenario key `queue_bound`): pending sends beyond this depth are
     /// rejected with a resource-exhausted error instead of growing the
@@ -617,7 +595,6 @@ impl TestSpec {
             arrival_rate: None,
             clients: None,
             shards: None,
-            drivers: DriverMode::default(),
             queue_bound: None,
             properties: Vec::new(),
             transport: TransportSpec::default(),
@@ -689,18 +666,6 @@ impl TestSpec {
     /// Pins the provider's destination shard count.
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    /// Selects how the drivers execute (threads vs reactor tasks).
-    pub fn with_drivers(mut self, drivers: DriverMode) -> Self {
-        self.drivers = drivers;
-        self
-    }
-
-    /// Runs the drivers as reactor state-machine tasks.
-    pub fn reactor_drivers(mut self) -> Self {
-        self.drivers = DriverMode::Reactor;
         self
     }
 
@@ -1033,16 +998,13 @@ mod tests {
     }
 
     #[test]
-    fn driver_mode_and_queue_bound_flow_into_the_spec() {
-        let spec = TestSpec::new("rx")
-            .reactor_drivers()
-            .with_queue_bound(64)
-            .node(
-                NodeSpec::new("n")
-                    .producer(ProducerSpec::steady(queue(), 10.0, 64))
-                    .consumer(ConsumerSpec::auto(queue())),
-            );
-        assert_eq!(spec.drivers, DriverMode::Reactor);
+    fn queue_bound_flows_into_the_spec() {
+        let spec = TestSpec::new("rx").with_queue_bound(64).node(
+            NodeSpec::new("n")
+                .producer(ProducerSpec::steady(queue(), 10.0, 64))
+                .consumer(ConsumerSpec::auto(queue())),
+        );
+        assert_eq!(spec.queue_bound, Some(64));
         assert!(spec.validate().is_ok());
         // A zero bound is a lint error, not a validation error: the
         // broker clamps it, and the lint explains why that is a trap.

@@ -114,14 +114,13 @@ destination = queue:q
     assert!(report.is_clean(), "{report}");
 }
 
-/// Reactor mode composes with both new keys without any finding: the
+/// Open-loop load composes with a queue bound without any finding: the
 /// reactor soak scenario shape stays lint-clean.
 #[test]
 fn reactor_backpressure_scenario_is_clean() {
     let fixture = "\
 [test]
 name = reactor-soak
-drivers = reactor
 open_loop = on
 clients = 1000
 arrival_rate = 20000

@@ -8,6 +8,7 @@
 //! matrix runs 1 and 8), so this differential holds across routing
 //! configurations.
 
+use jmst_api::destination::EndpointId;
 use jmst_broker::ReferenceBroker;
 use jmst_core::Analyzer;
 use jmst_harness::runner::ThreadedRunner;
@@ -65,6 +66,26 @@ fn multiset(trace: &Trace, receives: bool) -> BTreeMap<(u64, u64), u32> {
     set
 }
 
+/// Delivery multisets grouped by the end-point that delivered them.
+fn per_endpoint(trace: &Trace) -> BTreeMap<EndpointId, BTreeMap<(u64, u64), u32>> {
+    let mut map: BTreeMap<EndpointId, BTreeMap<(u64, u64), u32>> = BTreeMap::new();
+    for event in trace.iter() {
+        if let EventKind::Receive {
+            endpoint, record, ..
+        } = &event.kind
+        {
+            *map.entry(endpoint.clone())
+                .or_default()
+                .entry((record.producer.as_u64(), record.sequence))
+                .or_insert(0u32) += 1;
+        }
+    }
+    map
+}
+
+/// Virtual client 0 of an open-loop producer carries the closed-loop
+/// producer's seed and harness identity, so with one client the two
+/// loops must emit the same sends under the same identities.
 #[test]
 fn open_loop_matches_closed_loop_at_low_utilisation() {
     let closed = run(&low_utilisation_spec("closed"));
@@ -90,6 +111,11 @@ fn open_loop_matches_closed_loop_at_low_utilisation() {
         multiset(&closed, true),
         multiset(&open, true),
         "delivery multisets differ"
+    );
+    assert_eq!(
+        per_endpoint(&closed),
+        per_endpoint(&open),
+        "per-end-point deliveries differ"
     );
     // Every message was sent exactly once under both loops.
     let sends = multiset(&open, false);

@@ -11,8 +11,8 @@ use jmst_api::modes::{DeliveryMode, Priority, SessionMode, TimeToLive};
 use jmst_api::value::Value;
 use jmst_harness::{parse_spec, serialize_spec};
 use jmst_harness::{
-    ConsumerSpec, CrashPlan, DriverMode, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec,
-    RetryPolicy, Subscription, TestSpec, TransportMode, TransportSpec,
+    ConsumerSpec, CrashPlan, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec, RetryPolicy,
+    Subscription, TestSpec, TransportMode, TransportSpec,
 };
 use jmst_sim::ArrivalProcess;
 use proptest::prelude::*;
@@ -347,7 +347,6 @@ fn arb_spec() -> BoxedStrategy<TestSpec> {
             prop_oneof![Just(None), arb_fault_plan().prop_map(Some)],
             arb_properties(),
             arb_transport(),
-            prop_oneof![Just(DriverMode::Thread), Just(DriverMode::Reactor)],
             prop_oneof![Just(None), (1usize..10_000).prop_map(Some)],
         ),
     )
@@ -355,7 +354,7 @@ fn arb_spec() -> BoxedStrategy<TestSpec> {
             |(
                 (name_n, seed, warm_up, run, warm_down, drain_quiet, retry_off, fail_fast),
                 (open_loop, arrival_rate, clients),
-                (shards, crash, faults, properties, transport, drivers, queue_bound),
+                (shards, crash, faults, properties, transport, queue_bound),
             )| {
                 TestSpec {
                     name: format!("spec-{name_n}"),
@@ -377,7 +376,6 @@ fn arb_spec() -> BoxedStrategy<TestSpec> {
                     arrival_rate: if open_loop { arrival_rate } else { None },
                     clients: if open_loop { clients } else { None },
                     shards,
-                    drivers,
                     queue_bound,
                     properties,
                     transport,

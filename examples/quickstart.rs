@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The provider under test: the in-process reference broker.
     let broker = ReferenceBroker::new();
 
-    // Execute: drivers run in coordinated threads, logging every event.
+    // Execute: drivers run as coordinated reactor tasks, logging every event.
     let trace = ThreadedRunner::new().run(Arc::new(broker), None, &spec)?;
     println!("collected {} trace events", trace.len());
 

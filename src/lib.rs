@@ -18,7 +18,7 @@
 //!   journal;
 //! * [`core`] — the formal model: Definitions 1–7, Properties 1–5, and
 //!   the §3.2 performance analysis;
-//! * [`harness`] — test specs, the threaded runner, crash injection, and
+//! * [`harness`] — test specs, the live runner, crash injection, and
 //!   the daemon prince;
 //! * [`props`] — the QoS property DSL: parse, statically verify, and
 //!   compile named assertions onto the streaming checker core;
