@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the open-loop load engine: cost per
 //! arrival through the timing wheel alone, through the full engine with a
-//! no-op transport, and per latency sample into the log histogram.
+//! no-op transport, the cost of arming and tearing down 1M clients, and
+//! per latency sample into the log histogram.
 //!
 //! The engine numbers are the per-arrival scheduling overhead budget: at
 //! 100K virtual clients offering 40K msg/s, every microsecond of
 //! per-arrival cost is 4% of a core.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use jmst_load::{ClientSpec, LoadEngine, SendDisposition, TimingWheel, Transport};
 use jmst_sim::{ArrivalProcess, SimRng};
 use jmst_store::LogHistogram;
@@ -80,6 +81,44 @@ fn engine_arrivals(c: &mut Criterion) {
     group.finish();
 }
 
+/// Arm-and-teardown cost of a 1M-client population: every first arrival
+/// lies beyond the 1 ms run, so no client sends; the time is spawning,
+/// arming the first timers, and the shutdown sweep.
+fn engine_arm(c: &mut Criterion) {
+    const CLIENTS: usize = 1_000_000;
+    let mut group = c.benchmark_group("loadgen/engine");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(CLIENTS as u64));
+    group.bench_function("arm_1m", |b| {
+        b.iter_batched(
+            || {
+                let base = SimRng::seed_from_u64(1);
+                (0..CLIENTS)
+                    .map(|index| {
+                        ClientSpec::new(
+                            ArrivalProcess::poisson(20_000.0 / CLIENTS as f64)
+                                .generator(base.derive(index as u64)),
+                        )
+                        .starting_at(Duration::from_secs(1))
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |specs| {
+                let report = LoadEngine::new(1).run(
+                    specs,
+                    vec![Box::new(Sink)],
+                    Some(Duration::from_millis(1)),
+                    None,
+                );
+                assert_eq!(report.sends, 0);
+                report.sends
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 fn histogram_record(c: &mut Criterion) {
     let mut group = c.benchmark_group("loadgen/histogram");
     group.throughput(Throughput::Elements(1));
@@ -101,6 +140,7 @@ criterion_group!(
     benches,
     wheel_schedule_advance,
     engine_arrivals,
+    engine_arm,
     histogram_record
 );
 criterion_main!(benches);

@@ -212,9 +212,8 @@ impl ProcessPrince {
                 // journal whose first record fails its MAC (wrong key or
                 // tampering) and one holding a verified record this build
                 // cannot decode (a version skew).
-                let (mut writer, salvage) = Journal::resume(path, &self.key).map_err(|e| {
-                    format!("journal {}: {e}; refusing to resume", path.display())
-                })?;
+                let (mut writer, salvage) = Journal::resume(path, &self.key)
+                    .map_err(|e| format!("journal {}: {e}; refusing to resume", path.display()))?;
                 if let Some(damage) = &salvage.damage {
                     eprintln!(
                         "[jmst-princed] journal {}: {damage}; salvaged {} record(s), damaged suffix truncated",

@@ -479,7 +479,10 @@ mod tests {
         };
         let mut buf = Vec::new();
         let result = write_frame(&mut buf, &message);
-        assert!(matches!(result, Err(ProtoError::Malformed(_))), "{result:?}");
+        assert!(
+            matches!(result, Err(ProtoError::Malformed(_))),
+            "{result:?}"
+        );
         assert!(buf.is_empty(), "{} bytes reached the stream", buf.len());
     }
 

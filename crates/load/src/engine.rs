@@ -17,6 +17,7 @@
 
 use crate::client::{ClientSpec, SendDisposition, Transport};
 use jmst_reactor::{Context, Poll, Reactor, Task};
+use jmst_sim::arrival::ArrivalGen;
 use jmst_store::stats::LogHistogram;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -39,7 +40,9 @@ pub struct EngineReport {
     pub send_lag: LogHistogram,
     /// The first abort reason seen, for diagnostics.
     pub first_abort: Option<String>,
-    /// Wall-clock length of the run (longest worker).
+    /// Wall-clock length of the run, from the reactor's epoch to the
+    /// last worker's exit. The epoch is taken after every client's first
+    /// arrival is armed, so it is also the zero of every intended time.
     pub elapsed: Duration,
 }
 
@@ -79,7 +82,8 @@ struct WorkerSlot {
 /// One virtual client as a reactor task; 1M clients ≈ a few hundred MB
 /// dominated by the arrival generators.
 struct ClientTask {
-    spec: ClientSpec,
+    arrival: ArrivalGen,
+    limit: Option<u64>,
     /// The client's global index in the input vector — the identity the
     /// transport sees, stable across sharding.
     id: u32,
@@ -88,24 +92,14 @@ struct ClientTask {
     intended: Duration,
     sent: u64,
     connected: bool,
-    /// First poll arms the first arrival instead of sending.
-    started: bool,
 }
 
 impl Task for ClientTask {
     fn poll(&mut self, cx: &mut Context<'_>) -> Poll {
         // A halted run abandons in-progress clients without counting
-        // them completed or aborted, exactly like the thread engine did.
+        // them completed or aborted.
         if cx.stopping() {
             return Poll::Ready;
-        }
-        if !self.started {
-            // Schedule the first arrival: start offset plus the first
-            // gap of the arrival process.
-            self.started = true;
-            self.intended = self.intended.saturating_add(self.spec.arrival.next_gap());
-            cx.wake_at_nanos(self.intended.as_nanos() as u64);
-            return Poll::Pending;
         }
         let now = cx.now();
         if !self.connected {
@@ -143,7 +137,7 @@ impl Task for ClientTask {
                         .record(now.saturating_sub(self.intended));
                 }
                 self.sent += 1;
-                if self.spec.limit.is_some_and(|limit| self.sent >= limit) {
+                if self.limit.is_some_and(|limit| self.sent >= limit) {
                     let slot = cx.state_mut::<WorkerSlot>().expect("worker slot seeded");
                     slot.report.completed_clients += 1;
                     return Poll::Ready;
@@ -151,7 +145,7 @@ impl Task for ClientTask {
                 // Open loop: the next arrival is scheduled from the
                 // *intended* time, not from now — a late send never
                 // slows the arrival process down.
-                self.intended = self.intended.saturating_add(self.spec.arrival.next_gap());
+                self.intended = self.intended.saturating_add(self.arrival.next_gap());
                 cx.wake_at_nanos(self.intended.as_nanos() as u64);
                 Poll::Pending
             }
@@ -237,6 +231,11 @@ impl LoadEngine {
     /// until it completes or aborts, `run_for` elapses, or `stop` flips
     /// to true.
     ///
+    /// Each client's first arrival is drawn here and armed at spawn
+    /// ([`Reactor::spawn_at`]): the workers load their timing wheels
+    /// before the epoch, so `run_for` and every intended send time count
+    /// from a clock that starts with all clients already scheduled.
+    ///
     /// Blocks until the reactor drains and returns the merged report.
     ///
     /// # Panics
@@ -266,16 +265,26 @@ impl LoadEngine {
             );
         }
         for (index, spec) in clients.into_iter().enumerate() {
-            let worker = spec.shard.unwrap_or(index) % self.workers;
-            reactor.spawn_on(
+            let ClientSpec {
+                mut arrival,
+                limit,
+                start_offset,
+                shard,
+            } = spec;
+            let worker = shard.unwrap_or(index) % self.workers;
+            // The first arrival (start offset plus the first gap) is
+            // armed at spawn, so the client is first polled to send.
+            let intended = start_offset.saturating_add(arrival.next_gap());
+            reactor.spawn_at(
                 worker,
+                intended.as_nanos() as u64,
                 Box::new(ClientTask {
-                    intended: spec.start_offset,
-                    spec,
+                    arrival,
+                    limit,
                     id: index as u32,
+                    intended,
                     sent: 0,
                     connected: false,
-                    started: false,
                 }),
             );
         }

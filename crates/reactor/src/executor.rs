@@ -16,13 +16,21 @@
 //! When the queue is empty the worker parks until the next timer
 //! deadline or an external wake, bounded by a short slice so stop flags
 //! are observed promptly.
+//!
+//! A task starts in one of two ways. [`Reactor::spawn`]/[`Reactor::spawn_on`]
+//! give it an initial poll, where it can register wakers or arm its own
+//! first timer. [`Reactor::spawn_at`] arms its first timer at spawn and
+//! skips that poll: each worker bulk-loads those deadlines into its wheel
+//! on its own thread, and only once every wheel is built is the shared
+//! epoch taken. A million pre-armed virtual clients therefore cost one
+//! sort per worker before the clock starts, not a million polls after.
 
 use crate::ready::ReadyList;
 use crate::task::{Context, Poll, Task};
 use crate::wheel::TimingWheel;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Longest a worker parks before re-checking stop flags and deadlines.
@@ -33,6 +41,8 @@ const DRAIN_SLICE: Duration = Duration::from_millis(1);
 /// (a task violating the bounded-shutdown contract must not hang the
 /// process).
 const MAX_DRAIN_SWEEPS: u32 = 10_000;
+/// Most polls in one scheduling pass.
+const PASS_BUDGET: usize = 4096;
 
 /// What one reactor run did.
 #[derive(Debug)]
@@ -45,7 +55,10 @@ pub struct RunOutcome {
     /// Total `poll` calls across all workers — the load-proportionality
     /// measure the O(ready) regression test asserts on.
     pub polls: u64,
-    /// Wall-clock duration of the run.
+    /// Wall-clock time from the run's epoch to the last worker's exit.
+    /// The epoch is taken once every worker has built its timer wheel,
+    /// so set-up of pre-armed tasks is not counted; `run_for` counts
+    /// from the same epoch.
     pub elapsed: Duration,
     /// The worker-local state slots, in worker order, for the caller to
     /// downcast and harvest (reports, transports, …).
@@ -54,21 +67,41 @@ pub struct RunOutcome {
 
 /// A readiness-driven scheduler: spawn tasks, then [`run`](Reactor::run).
 pub struct Reactor {
-    tasks: Vec<Vec<Box<dyn Task>>>,
-    worker_states: Vec<Option<Box<dyn Any + Send>>>,
+    workers: Vec<WorkerSeed>,
     tick: Duration,
     slots: usize,
     next_worker: usize,
+}
+
+/// Everything one worker starts with.
+#[derive(Default)]
+struct WorkerSeed {
+    tasks: Vec<Box<dyn Task>>,
+    /// Indices of the tasks that get an initial poll, in spawn order.
+    initial: Vec<u32>,
+    /// `(first deadline, task index)` of the pre-armed tasks.
+    armed: Vec<(u64, u32)>,
+    state: Option<Box<dyn Any + Send>>,
+}
+
+impl WorkerSeed {
+    /// Appends `task`, returning its index on this worker.
+    fn push(&mut self, task: Box<dyn Task>) -> u32 {
+        assert!(
+            self.tasks.len() < u32::MAX as usize,
+            "too many tasks on one worker"
+        );
+        self.tasks.push(task);
+        (self.tasks.len() - 1) as u32
+    }
 }
 
 impl Reactor {
     /// A reactor with `workers` worker threads (clamped to at least 1)
     /// and the default 1 ms × 4096-slot timer wheel per worker.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         Self {
-            tasks: (0..workers).map(|_| Vec::new()).collect(),
-            worker_states: (0..workers).map(|_| None).collect(),
+            workers: (0..workers.max(1)).map(|_| WorkerSeed::default()).collect(),
             tick: Duration::from_millis(1),
             slots: 4096,
             next_worker: 0,
@@ -90,57 +123,79 @@ impl Reactor {
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.tasks.len()
+        self.workers.len()
     }
 
     /// Seeds worker `worker`'s shared state slot (see
     /// [`Context::state_mut`]).
     pub fn set_worker_state(&mut self, worker: usize, state: Box<dyn Any + Send>) {
-        self.worker_states[worker] = Some(state);
+        self.workers[worker].state = Some(state);
     }
 
     /// Spawns `task` on the least-recently-used worker (round-robin).
     /// Returns the worker it was pinned to.
     pub fn spawn(&mut self, task: Box<dyn Task>) -> usize {
         let worker = self.next_worker;
-        self.next_worker = (self.next_worker + 1) % self.tasks.len();
+        self.next_worker = (self.next_worker + 1) % self.workers.len();
         self.spawn_on(worker, task);
         worker
     }
 
-    /// Spawns `task` pinned to `worker`.
+    /// Spawns `task` pinned to `worker`. It is first polled as soon as
+    /// the run starts, in spawn order.
     ///
     /// # Panics
     ///
     /// Panics if `worker` is out of range or the worker already holds
     /// `u32::MAX` tasks.
     pub fn spawn_on(&mut self, worker: usize, task: Box<dyn Task>) {
-        assert!(worker < self.tasks.len(), "worker index out of range");
-        assert!(
-            self.tasks[worker].len() < u32::MAX as usize,
-            "too many tasks on one worker"
-        );
-        self.tasks[worker].push(task);
+        let seed = &mut self.workers[worker];
+        let index = seed.push(task);
+        seed.initial.push(index);
+    }
+
+    /// Spawns `task` pinned to `worker` with its first timer already
+    /// armed at `deadline_nanos` from the run's epoch: the task gets no
+    /// initial poll, and is first polled when that timer fires (or by
+    /// the shutdown sweep, if the run ends first). Pre-armed tasks fire
+    /// in the order [`Context::wake_at_nanos`] calls made in spawn order
+    /// would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range or the worker already holds
+    /// `u32::MAX` tasks.
+    pub fn spawn_at(&mut self, worker: usize, deadline_nanos: u64, task: Box<dyn Task>) {
+        let seed = &mut self.workers[worker];
+        let index = seed.push(task);
+        seed.armed.push((deadline_nanos, index));
     }
 
     /// Runs every spawned task to completion, or until `stop` is set or
     /// `run_for` elapses — whichever comes first. On shutdown each live
     /// task is swept with [`Context::stopping`] `true` until it
     /// completes.
+    ///
+    /// Each worker builds its ready list and timer wheel on its own
+    /// thread; the epoch that [`Context::now`], timer deadlines,
+    /// `run_for` and [`RunOutcome::elapsed`] count from is taken once
+    /// all of them have.
     pub fn run(self, stop: Option<Arc<AtomicBool>>, run_for: Option<Duration>) -> RunOutcome {
-        let epoch = Instant::now();
+        let epoch = Arc::new(OnceLock::new());
+        let start = Arc::new(Barrier::new(self.workers.len()));
         let halt = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::with_capacity(self.tasks.len());
-        for (worker, (tasks, state)) in self.tasks.into_iter().zip(self.worker_states).enumerate() {
-            let stop = stop.clone();
-            let halt = Arc::clone(&halt);
-            let tick = self.tick;
-            let slots = self.slots;
-            handles.push(std::thread::spawn(move || {
-                worker_loop(
-                    worker, tasks, state, epoch, tick, slots, stop, run_for, halt,
-                )
-            }));
+        let mut handles = Vec::with_capacity(self.workers.len());
+        for (worker, seed) in self.workers.into_iter().enumerate() {
+            let run = WorkerRun {
+                start: Arc::clone(&start),
+                epoch: Arc::clone(&epoch),
+                tick: self.tick,
+                slots: self.slots,
+                stop: stop.clone(),
+                run_for,
+                halt: Arc::clone(&halt),
+            };
+            handles.push(std::thread::spawn(move || worker_loop(worker, seed, run)));
         }
         let mut outcome = RunOutcome {
             completed: 0,
@@ -156,7 +211,7 @@ impl Reactor {
             outcome.polls += done.polls;
             outcome.worker_states.push(done.state);
         }
-        outcome.elapsed = epoch.elapsed();
+        outcome.elapsed = epoch.get().expect("workers took the epoch").elapsed();
         outcome
     }
 }
@@ -164,10 +219,14 @@ impl Reactor {
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("workers", &self.tasks.len())
+            .field("workers", &self.workers.len())
             .field(
                 "tasks",
-                &self.tasks.iter().map(Vec::len).collect::<Vec<_>>(),
+                &self
+                    .workers
+                    .iter()
+                    .map(|seed| seed.tasks.len())
+                    .collect::<Vec<_>>(),
             )
             .field("tick", &self.tick)
             .field("slots", &self.slots)
@@ -182,30 +241,51 @@ struct WorkerDone {
     state: Option<Box<dyn Any + Send>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    worker: usize,
-    tasks: Vec<Box<dyn Task>>,
-    mut state: Option<Box<dyn Any + Send>>,
-    epoch: Instant,
+/// The run-wide settings and the start line each worker shares.
+struct WorkerRun {
+    /// Released once every worker has built its wheel.
+    start: Arc<Barrier>,
+    /// The shared epoch, taken by the first worker past `start`.
+    epoch: Arc<OnceLock<Instant>>,
     tick: Duration,
     slots: usize,
     stop: Option<Arc<AtomicBool>>,
     run_for: Option<Duration>,
     halt: Arc<AtomicBool>,
-) -> WorkerDone {
+}
+
+fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
+    let WorkerSeed {
+        tasks,
+        initial,
+        armed,
+        mut state,
+    } = seed;
+    let WorkerRun {
+        start,
+        epoch,
+        tick,
+        slots,
+        stop,
+        run_for,
+        halt,
+    } = run;
     let ready = Arc::new(ReadyList::new(tasks.len()));
     let mut slots_vec: Vec<Option<Box<dyn Task>>> = tasks.into_iter().map(Some).collect();
     let mut timers = TimingWheel::new(tick, slots);
+    timers.bulk_load(armed);
+    for index in initial {
+        ready.wake(index);
+    }
     let mut live = slots_vec.len();
     let mut completed = 0usize;
     let mut polls = 0u64;
     let mut due = Vec::new();
 
-    // Every task gets an initial poll, in spawn order.
-    for index in 0..slots_vec.len() {
-        ready.wake(index as u32);
-    }
+    // The clock starts only once every worker's wheel is built, so the
+    // first pre-armed deadline fires on time.
+    start.wait();
+    let epoch = *epoch.get_or_init(Instant::now);
 
     let should_halt = |elapsed: Duration| {
         halt.load(Ordering::Acquire)
@@ -234,7 +314,7 @@ fn worker_loop(
         // budget bounds one pass so yield-looping tasks cannot starve
         // timer fires or the halt check above.
         let mut ran_any = false;
-        let mut budget = 4096usize.max(slots_vec.len());
+        let mut budget = PASS_BUDGET;
         while let Some(index) = ready.pop() {
             if budget == 0 {
                 ready.requeue(index);
@@ -484,6 +564,63 @@ mod tests {
             .map(|slot| *slot.unwrap().downcast::<u64>().unwrap())
             .sum();
         assert_eq!(total, 10);
+    }
+
+    /// Completes on its first poll, recording that poll's
+    /// `(now, stopping)`.
+    struct FirstPoll(Arc<Mutex<Option<(Duration, bool)>>>);
+
+    impl Task for FirstPoll {
+        fn poll(&mut self, cx: &mut Context<'_>) -> Poll {
+            *self.0.lock().unwrap() = Some((cx.now(), cx.stopping()));
+            Poll::Ready
+        }
+    }
+
+    /// Runs one `FirstPoll` task, placed by `spawn`, and returns the
+    /// poll count and what its poll saw. A task the run never polls is
+    /// polled by the shutdown sweep at `run_for`, with `stopping` set.
+    fn first_poll(
+        run_for: Duration,
+        spawn: impl FnOnce(&mut Reactor, Box<dyn Task>),
+    ) -> (u64, (Duration, bool)) {
+        let seen = Arc::new(Mutex::new(None));
+        let mut reactor = Reactor::new(2);
+        spawn(&mut reactor, Box::new(FirstPoll(Arc::clone(&seen))));
+        let outcome = reactor.run(None, Some(run_for));
+        assert_eq!(outcome.completed, 1);
+        let seen = seen.lock().unwrap().expect("polled");
+        (outcome.polls, seen)
+    }
+
+    #[test]
+    fn pre_armed_task_beyond_the_run_is_polled_once_by_the_sweep() {
+        let far = Duration::from_secs(60).as_nanos() as u64;
+        let (polls, (_, stopping)) = first_poll(Duration::from_millis(20), |r, task| {
+            r.spawn_at(0, far, task)
+        });
+        assert_eq!(polls, 1);
+        assert!(stopping, "the only poll must be the shutdown sweep");
+    }
+
+    #[test]
+    fn pre_armed_task_is_first_polled_at_its_deadline() {
+        let deadline = Duration::from_millis(30);
+        let (polls, (at, stopping)) = first_poll(Duration::from_secs(5), |r, task| {
+            r.spawn_at(1, deadline.as_nanos() as u64, task)
+        });
+        assert_eq!(polls, 1);
+        assert!(!stopping);
+        assert!(at >= deadline, "polled at {at:?}, before {deadline:?}");
+    }
+
+    #[test]
+    fn spawned_task_still_gets_its_initial_poll() {
+        let (polls, (_, stopping)) = first_poll(Duration::from_secs(5), |r, task| {
+            r.spawn(task);
+        });
+        assert_eq!(polls, 1);
+        assert!(!stopping, "polled before any shutdown sweep");
     }
 
     /// Yields a fixed number of times, then completes.

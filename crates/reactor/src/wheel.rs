@@ -7,12 +7,17 @@
 //! beyond the wheel's horizon wait in a sorted overflow map and are
 //! promoted as the wheel turns.
 //!
+//! A population armed all at once (a million clients' first arrivals)
+//! goes through [`TimingWheel::bulk_load`] instead: one sort, after which
+//! the events beyond the horizon stay in that sorted run and are promoted
+//! from its front, with no per-event map insert.
+//!
 //! Deadlines are `u64` nanosecond offsets from an epoch the caller
 //! chooses (the engine uses its start instant). Firing order within one
 //! tick is insertion order; across ticks it is deadline order at tick
 //! resolution.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// One scheduled event: the exact deadline and the caller's payload
@@ -29,6 +34,10 @@ pub struct TimingWheel {
     current_tick: u64,
     /// Events beyond the horizon, keyed by tick.
     overflow: BTreeMap<u64, Vec<Entry>>,
+    /// Bulk-loaded events beyond the horizon, sorted by `(tick,
+    /// payload)`. Loaded while `overflow` was empty, so within a tick
+    /// they precede every `overflow` entry.
+    loaded: VecDeque<Entry>,
     len: usize,
 }
 
@@ -47,6 +56,7 @@ impl TimingWheel {
             slots: vec![Vec::new(); slots],
             current_tick: 0,
             overflow: BTreeMap::new(),
+            loaded: VecDeque::new(),
             len: 0,
         }
     }
@@ -78,6 +88,35 @@ impl TimingWheel {
         self.len += 1;
     }
 
+    /// Schedules every entry of `entries` at once: equivalent to calling
+    /// [`TimingWheel::schedule`] for each of them in ascending payload
+    /// order, and so to spawn-order arming when payloads are task
+    /// indices (one entry per payload).
+    ///
+    /// One unstable sort by `(tick, payload)` puts the entries in the
+    /// order one-at-a-time insertion would leave them in each tick. The
+    /// entries inside the horizon then go to their slots; the rest stay
+    /// in that sorted run until the wheel turns to them.
+    pub fn bulk_load(&mut self, mut entries: Vec<Entry>) {
+        if !self.overflow.is_empty() || !self.loaded.is_empty() {
+            // Earlier events already wait beyond the horizon; these go
+            // after them, as one-at-a-time scheduling would put them.
+            entries.sort_unstable_by_key(|&(_, payload)| payload);
+            for (deadline, payload) in entries {
+                self.schedule(deadline, payload);
+            }
+            return;
+        }
+        let tick_nanos = self.tick_nanos;
+        let first_tick = self.current_tick;
+        entries.sort_unstable_by_key(|&(deadline, payload)| {
+            ((deadline / tick_nanos).max(first_tick), payload)
+        });
+        self.len += entries.len();
+        self.loaded = entries.into();
+        self.promote_overflow();
+    }
+
     /// Turns the wheel to `now_nanos`, appending every due event to
     /// `due`: all events in ticks before the one containing `now`, plus
     /// the events in the current tick whose exact deadline has passed.
@@ -104,9 +143,17 @@ impl TimingWheel {
     }
 
     /// Moves overflow events whose tick is now within the horizon into
-    /// their slots.
+    /// their slots: bulk-loaded ones first, as they were scheduled first.
     fn promote_overflow(&mut self) {
         let horizon = self.current_tick + self.slots.len() as u64;
+        while let Some(&(deadline, _)) = self.loaded.front() {
+            let tick = (deadline / self.tick_nanos).max(self.current_tick);
+            if tick >= horizon {
+                break;
+            }
+            let index = (tick % self.slots.len() as u64) as usize;
+            self.slots[index].extend(self.loaded.pop_front());
+        }
         while let Some(entry) = self.overflow.first_entry() {
             if *entry.key() >= horizon {
                 break;
@@ -126,10 +173,22 @@ impl TimingWheel {
                 return Some(min);
             }
         }
-        self.overflow
+        // The earliest tick group of each overflow store holds its
+        // earliest deadline.
+        let loaded = self.loaded.front().and_then(|&(first, _)| {
+            let tick = first / self.tick_nanos;
+            self.loaded
+                .iter()
+                .take_while(|entry| entry.0 / self.tick_nanos == tick)
+                .map(|entry| entry.0)
+                .min()
+        });
+        let overflow = self
+            .overflow
             .values()
             .next()
-            .and_then(|entries| entries.iter().map(|entry| entry.0).min())
+            .and_then(|entries| entries.iter().map(|entry| entry.0).min());
+        loaded.into_iter().chain(overflow).min()
     }
 }
 

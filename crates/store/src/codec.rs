@@ -800,7 +800,10 @@ mod tests {
         assert!(Reader::new(&[0xff; 11]).uint().is_err());
         let mut wide = vec![0xff; 9];
         wide.push(0x02);
-        assert_eq!(Reader::new(&wide).uint(), Err(CodecError::Invalid("varint")));
+        assert_eq!(
+            Reader::new(&wide).uint(),
+            Err(CodecError::Invalid("varint"))
+        );
     }
 
     #[test]

@@ -649,10 +649,7 @@ impl JournalWriter {
             .filter(|&len| len <= MAX_RECORD_LEN)
             .ok_or_else(|| JournalError::Malformed {
                 index: self.records,
-                reason: format!(
-                    "a {}-byte record exceeds MAX_RECORD_LEN",
-                    payload.len()
-                ),
+                reason: format!("a {}-byte record exceeds MAX_RECORD_LEN", payload.len()),
             })?;
         let crc = crc32(payload);
         let mac = self.key.mac(&self.mac, payload);
@@ -1014,7 +1011,10 @@ mod tests {
             reason: "x".repeat(MAX_RECORD_LEN as usize),
         };
         let err = writer.append(&huge).unwrap_err();
-        assert!(matches!(err, JournalError::Malformed { index: 1, .. }), "{err}");
+        assert!(
+            matches!(err, JournalError::Malformed { index: 1, .. }),
+            "{err}"
+        );
         writer.append(&record(1)).unwrap();
         drop(writer);
         let read = Journal::read(&path, &key).unwrap();

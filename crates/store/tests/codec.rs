@@ -31,15 +31,13 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 fn arb_properties() -> impl Strategy<Value = Properties> {
-    prop::collection::vec(("[a-zA-Z_$][a-zA-Z0-9_$]{0,5}", arb_value()), 0..4).prop_map(
-        |entries| {
-            let mut properties = Properties::new();
-            for (name, value) in entries {
-                properties.set(name, value).expect("legal name and type");
-            }
-            properties
-        },
-    )
+    prop::collection::vec(("[a-zA-Z_$][a-zA-Z0-9_$]{0,5}", arb_value()), 0..4).prop_map(|entries| {
+        let mut properties = Properties::new();
+        for (name, value) in entries {
+            properties.set(name, value).expect("legal name and type");
+        }
+        properties
+    })
 }
 
 fn arb_destination() -> impl Strategy<Value = Destination> {
@@ -111,7 +109,13 @@ fn arb_event() -> impl Strategy<Value = Event> {
         (TEXT, 0usize..4, 0usize..3),
     )
         .prop_map(
-            |((seq, at, node), tag, (a, b, flag, has_tx), (destination, endpoint, record), (text, mode, phase))| {
+            |(
+                (seq, at, node),
+                tag,
+                (a, b, flag, has_tx),
+                (destination, endpoint, record),
+                (text, mode, phase),
+            )| {
                 let tx = has_tx.then(|| TxId::from_raw(b));
                 let kind = match tag {
                     0 => EventKind::ProducerCreated {
