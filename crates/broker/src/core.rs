@@ -28,6 +28,14 @@ struct TopicSubscription {
     plan: RoutePlan,
 }
 
+impl TopicSubscription {
+    fn accepts(&self, message: &Message) -> bool {
+        self.selector
+            .as_ref()
+            .is_none_or(|selector| selector.matches(message))
+    }
+}
+
 /// A generation-stamped, immutable view of one topic's subscriptions,
 /// partitioned by routing plan.
 ///
@@ -64,6 +72,80 @@ impl SubscriptionSnapshot {
             eq_filtered: Vec::new(),
             eq_index: HashMap::new(),
         }
+    }
+
+    /// Delivers a same-topic run to every subscription that accepts its
+    /// messages, in run order per subscription, with one insert — one
+    /// buffer lock, one wakeup — per subscription. Returns how many
+    /// messages of the run reached at least one subscription and how many
+    /// copies were buffered in all.
+    ///
+    /// Heap use is O(1) per run whatever the subscriber count: one flat
+    /// `(subscription, message)` hit list for the filtered subscriptions,
+    /// plus per-message `matched` flags when a run of several messages
+    /// found no unfiltered subscription.
+    fn fan_out(&self, run: &[Arc<Message>], visible_at: Timestamp) -> (u64, u64) {
+        let mut copies = 0u64;
+        for sub in &self.deliver_all {
+            copies += sub.endpoint.insert_batch(run, visible_at);
+        }
+        // Hits number the evaluated subscriptions first, then the
+        // eq-filtered ones. The equality index makes each eq-filtered
+        // subscription a candidate at most once per message, so the list
+        // never outgrows subscriptions × messages.
+        let filtered = self.evaluated.len() + self.eq_filtered.len();
+        let mut hits: Vec<(u32, u32)> =
+            Vec::with_capacity((filtered * run.len()).min(MAX_HIT_RESERVE));
+        for (sub, subscription) in self.evaluated.iter().enumerate() {
+            hits.extend(
+                (0..run.len())
+                    .filter(|&index| subscription.accepts(&run[index]))
+                    .map(|index| (sub as u32, index as u32)),
+            );
+        }
+        let offset = self.evaluated.len() as u32;
+        for (index, message) in run.iter().enumerate() {
+            for (ident, by_key) in &self.eq_index {
+                let Some(candidates) = message_key(message, ident).and_then(|key| by_key.get(&key))
+                else {
+                    continue;
+                };
+                hits.extend(
+                    candidates
+                        .iter()
+                        .filter(|&&sub| self.eq_filtered[sub as usize].accepts(message))
+                        .map(|&sub| (offset + sub, index as u32)),
+                );
+            }
+        }
+        // Grouped by subscription, each group in run order.
+        hits.sort_unstable();
+        let mut matched = (copies == 0 && run.len() > 1).then(|| vec![false; run.len()]);
+        for group in hits.chunk_by(|a, b| a.0 == b.0) {
+            let sub = group[0].0 as usize;
+            let subscription = match self.evaluated.get(sub) {
+                Some(subscription) => subscription,
+                None => &self.eq_filtered[sub - self.evaluated.len()],
+            };
+            let inserted = subscription.endpoint.insert_batch(
+                group.iter().map(|&(_, index)| &run[index as usize]),
+                visible_at,
+            );
+            copies += inserted;
+            if let (Some(matched), true) = (matched.as_mut(), inserted > 0) {
+                for &(_, index) in group {
+                    matched[index as usize] = true;
+                }
+            }
+        }
+        let reached = match matched {
+            Some(matched) => matched.iter().filter(|&&m| m).count() as u64,
+            // A run of one reached a subscription iff a copy was buffered.
+            None if run.len() == 1 => u64::from(copies > 0),
+            // An unfiltered subscription took the whole run.
+            None => run.len() as u64,
+        };
+        (reached, copies)
     }
 }
 
@@ -143,7 +225,7 @@ struct Registry {
 /// the queues and topics whose names hash to it. Publishes to
 /// destinations on different shards share no locks at all — each shard
 /// has its own registry `RwLock`s, and the per-topic membership mutexes,
-/// RCU snapshots and per-end-point wakeup condvars below them are
+/// RCU snapshots and per-end-point buffers and wakers below them are
 /// shard-local by construction.
 #[derive(Debug, Default)]
 struct Shard {
@@ -153,38 +235,6 @@ struct Shard {
     /// Per-topic RCU subscription state of this shard; read-mostly
     /// likewise.
     topics: RwLock<HashMap<TopicName, Arc<TopicState>>>,
-}
-
-/// Iterator over the maximal runs of consecutive same-destination
-/// messages in a batch; each run shares one end-point/snapshot lookup
-/// and one buffer-lock acquisition per end-point.
-struct DestinationRuns<'a> {
-    messages: &'a [Arc<Message>],
-    start: usize,
-}
-
-impl<'a> DestinationRuns<'a> {
-    fn new(messages: &'a [Arc<Message>]) -> Self {
-        Self { messages, start: 0 }
-    }
-}
-
-impl<'a> Iterator for DestinationRuns<'a> {
-    type Item = &'a [Arc<Message>];
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.start >= self.messages.len() {
-            return None;
-        }
-        let start = self.start;
-        let destination = self.messages[start].destination();
-        let mut end = start + 1;
-        while end < self.messages.len() && self.messages[end].destination() == destination {
-            end += 1;
-        }
-        self.start = end;
-        Some(&self.messages[start..end])
-    }
 }
 
 /// FNV-1a over a destination name: a deterministic, platform-independent
@@ -197,6 +247,18 @@ fn shard_hash(name: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Cap on the equality-index hit list reserved up front for one run; a
+/// larger run grows the list instead.
+const MAX_HIT_RESERVE: usize = 1 << 16;
+
+/// Whether a fan-out delivers a publish or the fault-injected second
+/// copy of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fanout {
+    Publish,
+    Duplicate,
 }
 
 /// Broker-wide counters.
@@ -550,7 +612,8 @@ impl Core {
         }
     }
 
-    /// Routes a stamped message to its destination's end-points.
+    /// Routes stamped messages to their destinations' end-points. This
+    /// is the only publish path: a single send is a batch of one.
     ///
     /// Queue messages go to the queue end-point; topic messages fan out to
     /// every subscription whose selector accepts them, sharing the one
@@ -558,62 +621,29 @@ impl Core {
     /// publish with no matching subscription is dropped (and counted),
     /// which is correct pub/sub behaviour.
     ///
-    /// A correct broker never touches the fault-engine mutex here; a
-    /// faulty one takes it exactly once per publish.
-    pub fn route(&self, message: &Arc<Message>) -> Result<(), Error> {
-        if self.clean_faults {
-            return self.route_copies(message, FaultDecision::CLEAN, None);
-        }
-        let (decision, forged, reorder_delay) = {
-            let mut faults = self.faults.lock();
-            let decision = faults.decide();
-            let forged = decision.forge.then(|| {
-                Arc::new(faults.forge_message(
-                    self.ids.next_message_id(),
-                    message.destination().clone(),
-                    self.now(),
-                ))
-            });
-            let reorder_delay = decision.hold_back.then(|| faults.spec().reorder_delay);
-            (decision, forged, reorder_delay)
-        };
-        if let Some(forged) = forged {
-            self.route_copies(&forged, FaultDecision::CLEAN, None)?;
-        }
-        if decision.drop {
-            return Ok(());
-        }
-        self.route_copies(message, decision, reorder_delay)
-    }
-
-    /// Routes a batch of stamped messages, amortising shard lookup,
-    /// fault decisions and receiver wakeups across the batch.
+    /// A clean batch is split into maximal same-destination runs: each
+    /// run costs one end-point/snapshot lookup, and each end-point takes
+    /// its buffer lock and fires its wakers once per run. The whole batch
+    /// shares one routing timestamp. A correct broker never touches the
+    /// fault-engine mutex; a faulty one draws every decision under one
+    /// acquisition, then routes each message as a run of one.
     ///
-    /// Equivalent to calling [`Core::route`] for each message in order,
-    /// with three amortisations: the fault-engine mutex is taken once for
-    /// the whole batch (not at all on a clean broker), consecutive
-    /// messages to the same destination share one end-point/snapshot
-    /// lookup, and each end-point takes its buffer lock — and wakes its
-    /// receivers — once per run instead of once per message. The whole
-    /// batch shares one routing timestamp.
-    pub fn route_batch(&self, messages: &[Arc<Message>]) -> Result<(), Error> {
+    /// # Errors
+    ///
+    /// [`Error::ResourceExhausted`] when a queue's backpressure bound
+    /// rejects a message; the messages before it stay routed.
+    pub fn route(&self, messages: &[Arc<Message>]) -> Result<(), Error> {
         if messages.is_empty() {
             return Ok(());
         }
+        let visible_at = self.now().saturating_add(self.config.delivery_delay);
         if self.clean_faults {
-            let visible_at = self.now().saturating_add(self.config.delivery_delay);
-            for run in DestinationRuns::new(messages) {
-                self.route_clean_run(run, visible_at)?;
+            for run in messages.chunk_by(|a, b| a.destination() == b.destination()) {
+                self.route_run(run, visible_at, Fanout::Publish)?;
             }
             return Ok(());
         }
-        // Faulty broker: draw every decision under one mutex acquisition,
-        // then route message-by-message (fault paths are not hot).
-        let decisions: Vec<(
-            FaultDecision,
-            Option<Arc<Message>>,
-            Option<std::time::Duration>,
-        )> = {
+        let decisions: Vec<(FaultDecision, Option<Arc<Message>>, Timestamp)> = {
             let mut faults = self.faults.lock();
             messages
                 .iter()
@@ -626,235 +656,78 @@ impl Core {
                             self.now(),
                         ))
                     });
-                    let reorder_delay = decision.hold_back.then(|| faults.spec().reorder_delay);
-                    (decision, forged, reorder_delay)
+                    let at = if decision.hold_back {
+                        visible_at.saturating_add(faults.spec().reorder_delay)
+                    } else {
+                        visible_at
+                    };
+                    (decision, forged, at)
                 })
                 .collect()
         };
-        for (message, (decision, forged, reorder_delay)) in messages.iter().zip(decisions) {
+        for (message, (decision, forged, at)) in messages.iter().zip(decisions) {
             if let Some(forged) = forged {
-                self.route_copies(&forged, FaultDecision::CLEAN, None)?;
+                self.route_run(std::slice::from_ref(&forged), visible_at, Fanout::Publish)?;
             }
             if decision.drop {
                 continue;
             }
-            self.route_copies(message, decision, reorder_delay)?;
+            let run = std::slice::from_ref(message);
+            self.route_run(run, at, Fanout::Publish)?;
+            if decision.duplicate {
+                self.route_run(run, at, Fanout::Duplicate)?;
+            }
         }
         Ok(())
     }
 
-    /// Routes one same-destination run of a clean batch: a single
-    /// end-point (or snapshot) lookup and a single insert-batch — one
-    /// buffer lock, one wakeup — per end-point.
-    fn route_clean_run(&self, run: &[Arc<Message>], visible_at: Timestamp) -> Result<(), Error> {
-        match run[0].destination() {
+    /// Routes one same-destination run: a single end-point (or snapshot)
+    /// lookup and, per end-point, a single insert — one buffer lock, one
+    /// wakeup. A publish counts into `routed`/`unroutable` and surfaces a
+    /// full queue as backpressure; a duplicate counts its copies into
+    /// `duplicated`, and a full queue just does not take it.
+    fn route_run(
+        &self,
+        run: &[Arc<Message>],
+        visible_at: Timestamp,
+        fanout: Fanout,
+    ) -> Result<(), Error> {
+        let (reached, copies) = match run[0].destination() {
             Destination::Queue(queue) => {
-                let endpoint = self.queue_endpoint(queue);
-                let (inserted, hit_bound) = endpoint.try_insert_batch(run.iter(), visible_at);
-                if hit_bound {
+                let (inserted, hit_bound) =
+                    self.queue_endpoint(queue).try_insert_batch(run, visible_at);
+                if hit_bound && fanout == Fanout::Publish {
                     // Count what actually got buffered, then surface the
                     // backpressure to the producer.
                     self.counters.routed.fetch_add(inserted, Ordering::Relaxed);
-                    return Err(Self::backpressure_error(queue));
+                    return Err(Error::ResourceExhausted(format!(
+                        "queue '{queue}' is full (backpressure bound reached); back off and retry"
+                    )));
                 }
-                self.counters
-                    .routed
-                    .fetch_add(run.len() as u64, Ordering::Relaxed);
+                (run.len() as u64, inserted)
             }
             Destination::Topic(topic) => {
                 let snapshot = {
                     let topics = self.topic_shard(topic).topics.read();
                     topics.get(topic).map(|state| state.load())
                 };
-                let mut matched = vec![false; run.len()];
-                if let Some(snapshot) = snapshot {
-                    // Fast path: no evaluation for unselected/always-true
-                    // subscriptions — the whole run is inserted as one
-                    // batch.
-                    for sub in &snapshot.deliver_all {
-                        let inserted = sub.endpoint.insert_batch(run.iter(), visible_at);
-                        if inserted > 0 {
-                            matched.iter_mut().for_each(|m| *m = true);
-                        }
-                    }
-                    let mut accepted: Vec<&Arc<Message>> = Vec::with_capacity(run.len());
-                    for sub in &snapshot.evaluated {
-                        accepted.clear();
-                        let mut accepted_indices: Vec<usize> = Vec::new();
-                        for (index, message) in run.iter().enumerate() {
-                            let ok = sub
-                                .selector
-                                .as_ref()
-                                .is_none_or(|selector| selector.matches(message));
-                            if ok {
-                                accepted.push(message);
-                                accepted_indices.push(index);
-                            }
-                        }
-                        if accepted.is_empty() {
-                            continue;
-                        }
-                        let inserted = sub
-                            .endpoint
-                            .insert_batch(accepted.iter().copied(), visible_at);
-                        if inserted > 0 {
-                            for index in accepted_indices {
-                                matched[index] = true;
-                            }
-                        }
-                    }
-                    if !snapshot.eq_filtered.is_empty() {
-                        // Prefilter: each message probes the equality
-                        // index; only candidate subscriptions evaluate
-                        // their selector. Iterating messages in the outer
-                        // loop keeps each subscription's accepted list in
-                        // run order.
-                        let mut per_sub: Vec<Vec<usize>> =
-                            vec![Vec::new(); snapshot.eq_filtered.len()];
-                        for (index, message) in run.iter().enumerate() {
-                            for (ident, by_key) in &snapshot.eq_index {
-                                let Some(key) = message_key(message, ident) else {
-                                    continue;
-                                };
-                                let Some(candidates) = by_key.get(&key) else {
-                                    continue;
-                                };
-                                for &sub_index in candidates {
-                                    let sub = &snapshot.eq_filtered[sub_index as usize];
-                                    let ok = sub
-                                        .selector
-                                        .as_ref()
-                                        .is_none_or(|selector| selector.matches(message));
-                                    if ok {
-                                        per_sub[sub_index as usize].push(index);
-                                    }
-                                }
-                            }
-                        }
-                        for (sub, accepted_indices) in snapshot.eq_filtered.iter().zip(&per_sub) {
-                            if accepted_indices.is_empty() {
-                                continue;
-                            }
-                            let inserted = sub.endpoint.insert_batch(
-                                accepted_indices.iter().map(|&i| &run[i]),
-                                visible_at,
-                            );
-                            if inserted > 0 {
-                                for &index in accepted_indices {
-                                    matched[index] = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                let routed = matched.iter().filter(|&&m| m).count() as u64;
-                self.counters.routed.fetch_add(routed, Ordering::Relaxed);
-                self.counters
-                    .unroutable
-                    .fetch_add(run.len() as u64 - routed, Ordering::Relaxed);
+                snapshot.map_or((0, 0), |snapshot| snapshot.fan_out(run, visible_at))
             }
-        }
-        Ok(())
-    }
-
-    /// The error surfaced to producers when a queue's backpressure bound
-    /// rejects a publish.
-    fn backpressure_error(queue: &QueueName) -> Error {
-        Error::ResourceExhausted(format!(
-            "queue '{queue}' is full (backpressure bound reached); back off and retry"
-        ))
-    }
-
-    fn route_copies(
-        &self,
-        message: &Arc<Message>,
-        decision: FaultDecision,
-        reorder_delay: Option<std::time::Duration>,
-    ) -> Result<(), Error> {
-        let mut visible_at = self.now().saturating_add(self.config.delivery_delay);
-        if let Some(delay) = reorder_delay {
-            visible_at = visible_at.saturating_add(delay);
-        }
-        let copies = if decision.duplicate { 2 } else { 1 };
-        match message.destination() {
-            Destination::Queue(queue) => {
-                let endpoint = self.queue_endpoint(queue);
-                let mut inserted = 0u64;
-                for copy in 0..copies {
-                    match endpoint.try_insert(Arc::clone(message), visible_at) {
-                        crate::endpoint::InsertOutcome::Inserted => inserted += 1,
-                        // Backpressure rejects the publish itself; a
-                        // fault-injected duplicate copy that no longer
-                        // fits is just not duplicated.
-                        crate::endpoint::InsertOutcome::Full if copy == 0 => {
-                            return Err(Self::backpressure_error(queue));
-                        }
-                        crate::endpoint::InsertOutcome::Full
-                        | crate::endpoint::InsertOutcome::Destroyed => {}
-                    }
+        };
+        match fanout {
+            Fanout::Publish => {
+                self.counters.routed.fetch_add(reached, Ordering::Relaxed);
+                let unreached = run.len() as u64 - reached;
+                if unreached > 0 {
+                    self.counters
+                        .unroutable
+                        .fetch_add(unreached, Ordering::Relaxed);
                 }
-                self.counters.routed.fetch_add(1, Ordering::Relaxed);
+            }
+            Fanout::Duplicate => {
                 self.counters
                     .duplicated
-                    .fetch_add(inserted.saturating_sub(1), Ordering::Relaxed);
-            }
-            Destination::Topic(topic) => {
-                let snapshot = {
-                    let topics = self.topic_shard(topic).topics.read();
-                    topics.get(topic).map(|state| state.load())
-                };
-                let mut matched = false;
-                let mut duplicated = 0u64;
-                if let Some(snapshot) = snapshot {
-                    let mut deliver = |sub: &TopicSubscription| {
-                        let mut inserted = 0u64;
-                        for _ in 0..copies {
-                            if sub.endpoint.insert(Arc::clone(message), visible_at) {
-                                inserted += 1;
-                            }
-                        }
-                        duplicated += inserted.saturating_sub(1);
-                        matched |= inserted > 0;
-                    };
-                    for sub in &snapshot.deliver_all {
-                        deliver(sub);
-                    }
-                    for sub in &snapshot.evaluated {
-                        let accepted = sub
-                            .selector
-                            .as_ref()
-                            .is_none_or(|selector| selector.matches(message));
-                        if accepted {
-                            deliver(sub);
-                        }
-                    }
-                    for (ident, by_key) in &snapshot.eq_index {
-                        let Some(key) = message_key(message, ident) else {
-                            continue;
-                        };
-                        let Some(candidates) = by_key.get(&key) else {
-                            continue;
-                        };
-                        for &sub_index in candidates {
-                            let sub = &snapshot.eq_filtered[sub_index as usize];
-                            let accepted = sub
-                                .selector
-                                .as_ref()
-                                .is_none_or(|selector| selector.matches(message));
-                            if accepted {
-                                deliver(sub);
-                            }
-                        }
-                    }
-                }
-                if matched {
-                    self.counters.routed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.counters.unroutable.fetch_add(1, Ordering::Relaxed);
-                }
-                self.counters
-                    .duplicated
-                    .fetch_add(duplicated, Ordering::Relaxed);
+                    .fetch_add(copies, Ordering::Relaxed);
             }
         }
         Ok(())
@@ -936,7 +809,7 @@ impl Core {
         for message in poisoned {
             let dlq = QueueName::new(format!("DLQ.{}", message.destination().name()));
             let endpoint = self.queue_endpoint(&dlq);
-            endpoint.insert(Arc::clone(&message), now);
+            endpoint.insert_batch([&message], now);
             notices.push(DeadLetter {
                 message: message.as_ref().clone(),
                 parked_on: dlq,
@@ -1063,6 +936,7 @@ mod tests {
     use jmst_api::time::Clock;
     use jmst_api::value::Value;
     use jmst_sim::VirtualClock;
+    use std::slice;
     use std::time::Duration;
 
     fn core_with_clock() -> (Arc<Core>, Arc<VirtualClock>) {
@@ -1081,30 +955,29 @@ mod tests {
         }))
     }
 
-    fn drain(endpoint: &Endpoint, clock: &dyn Clock) -> Vec<MessageId> {
-        let mut out = Vec::new();
-        while let Some(m) = endpoint
-            .receive(
+    fn take_all(endpoint: &Endpoint, clock: &dyn Clock) -> Vec<Arc<Message>> {
+        endpoint
+            .try_receive_batch(
                 clock,
-                Some(Duration::ZERO),
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
                 None,
+                usize::MAX,
                 &|| true,
                 &|| Ok(()),
             )
             .unwrap()
-        {
-            out.push(m.id());
-        }
-        out
+    }
+
+    fn drain(endpoint: &Endpoint, clock: &dyn Clock) -> Vec<MessageId> {
+        take_all(endpoint, clock).iter().map(|m| m.id()).collect()
     }
 
     #[test]
     fn queue_routing_reaches_queue_endpoint() {
         let (core, clock) = core_with_clock();
         let message = stamped(&core, Destination::queue("q"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         let endpoint = core.queue_endpoint(&QueueName::new("q"));
         assert_eq!(drain(&endpoint, clock.as_ref()), vec![message.id()]);
         assert_eq!(core.counters().routed.load(Ordering::Relaxed), 1);
@@ -1126,8 +999,8 @@ mod tests {
             .unwrap();
         let np = stamped(&core, Destination::topic("t"), DeliveryMode::NonPersistent);
         let p = stamped(&core, Destination::topic("t"), DeliveryMode::Persistent);
-        core.route(&np).unwrap();
-        core.route(&p).unwrap();
+        core.route(slice::from_ref(&np)).unwrap();
+        core.route(slice::from_ref(&p)).unwrap();
         assert_eq!(drain(&sub_a, clock.as_ref()), vec![np.id(), p.id()]);
         assert_eq!(drain(&sub_b, clock.as_ref()), vec![p.id()]);
     }
@@ -1159,23 +1032,9 @@ mod tests {
             .subscribe_non_durable(&topic, ConsumerId::from_raw(2), None)
             .unwrap();
         let message = stamped(&core, Destination::topic("t"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
-        let drain_one = |endpoint: &Endpoint| {
-            endpoint
-                .receive(
-                    clock.as_ref(),
-                    Some(Duration::ZERO),
-                    SessionId::from_raw(1),
-                    TrackMode::Immediate,
-                    None,
-                    &|| true,
-                    &|| Ok(()),
-                )
-                .unwrap()
-                .unwrap()
-        };
-        let got_a = drain_one(&sub_a);
-        let got_b = drain_one(&sub_b);
+        core.route(slice::from_ref(&message)).unwrap();
+        let got_a = take_all(&sub_a, clock.as_ref()).pop().unwrap();
+        let got_b = take_all(&sub_b, clock.as_ref()).pop().unwrap();
         // Fan-out hands every subscriber the very allocation that was
         // published — no body copies anywhere on the path.
         assert!(got_a.shares_payload_with(&message));
@@ -1218,7 +1077,7 @@ mod tests {
             )
             .unwrap();
         let message = stamped(&core, Destination::topic("t"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         assert_eq!(drain(&never, clock.as_ref()), Vec::<MessageId>::new());
         // With only a provably-false subscription, the publish is
         // unroutable.
@@ -1255,7 +1114,7 @@ mod tests {
                         sent_at: core.now(),
                     }),
             );
-            core.route(&message).unwrap();
+            core.route(slice::from_ref(&message)).unwrap();
             message.id()
         };
         let small = publish("emea", 10);
@@ -1268,10 +1127,121 @@ mod tests {
     }
 
     #[test]
+    fn batch_fan_out_keeps_run_order_per_subscription() {
+        let (core, clock) = core_with_clock();
+        let topic = TopicName::new("t");
+        let subscribe = |raw: u64, selector: Option<&str>| {
+            core.subscribe_non_durable(
+                &topic,
+                ConsumerId::from_raw(raw),
+                selector.map(|text| Selector::parse(text).unwrap()),
+            )
+            .unwrap()
+        };
+        let all = subscribe(1, None);
+        let big = subscribe(2, Some("size > 100"));
+        let emea = subscribe(3, Some("region = 'emea'"));
+        let apac_big = subscribe(4, Some("region = 'apac' AND size > 100"));
+        let message = |destination: Destination, region: &str, size: i64| {
+            Arc::new(
+                MessageDraft::text("x")
+                    .property("region", Value::String(region.to_owned()))
+                    .unwrap()
+                    .property("size", Value::Long(size))
+                    .unwrap()
+                    .stamp(Stamp {
+                        id: core.ids().next_message_id(),
+                        producer: ProducerId::from_raw(1),
+                        sequence: 0,
+                        destination,
+                        sent_at: core.now(),
+                    }),
+            )
+        };
+        let batch = vec![
+            message(Destination::topic("t"), "emea", 500),
+            message(Destination::topic("t"), "apac", 500),
+            message(Destination::queue("q"), "emea", 1),
+            message(Destination::topic("t"), "apac", 5),
+            message(Destination::topic("t"), "emea", 5),
+            message(Destination::topic("t"), "apac", 900),
+        ];
+        let ids: Vec<MessageId> = batch.iter().map(|m| m.id()).collect();
+        core.route(&batch).unwrap();
+        // Three runs: topic [0, 1], queue [2], topic [3, 4, 5].
+        assert_eq!(
+            drain(&all, clock.as_ref()),
+            [ids[0], ids[1], ids[3], ids[4], ids[5]]
+        );
+        assert_eq!(drain(&big, clock.as_ref()), [ids[0], ids[1], ids[5]]);
+        assert_eq!(drain(&emea, clock.as_ref()), [ids[0], ids[4]]);
+        assert_eq!(drain(&apac_big, clock.as_ref()), [ids[1], ids[5]]);
+        let queue = core.queue_endpoint(&QueueName::new("q"));
+        assert_eq!(drain(&queue, clock.as_ref()), [ids[2]]);
+        assert_eq!(core.counters().routed.load(Ordering::Relaxed), 6);
+        assert_eq!(core.counters().unroutable.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn batch_counts_only_the_messages_some_filter_accepted() {
+        let (core, clock) = core_with_clock();
+        let topic = TopicName::new("t");
+        let emea = core
+            .subscribe_non_durable(
+                &topic,
+                ConsumerId::from_raw(1),
+                Some(Selector::parse("region = 'emea'").unwrap()),
+            )
+            .unwrap();
+        let batch: Vec<Arc<Message>> = ["emea", "apac", "emea", "amer"]
+            .into_iter()
+            .map(|region| {
+                Arc::new(
+                    MessageDraft::text("x")
+                        .property("region", Value::String(region.to_owned()))
+                        .unwrap()
+                        .stamp(Stamp {
+                            id: core.ids().next_message_id(),
+                            producer: ProducerId::from_raw(1),
+                            sequence: 0,
+                            destination: Destination::topic("t"),
+                            sent_at: core.now(),
+                        }),
+                )
+            })
+            .collect();
+        core.route(&batch).unwrap();
+        assert_eq!(drain(&emea, clock.as_ref()), [batch[0].id(), batch[2].id()]);
+        assert_eq!(core.counters().routed.load(Ordering::Relaxed), 2);
+        assert_eq!(core.counters().unroutable.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn full_queue_rejects_the_rest_of_a_batch_and_counts_what_fit() {
+        let clock = Arc::new(VirtualClock::new());
+        let core = Core::new(
+            BrokerConfig::correct()
+                .with_clock(clock.clone())
+                .with_queue_bound(2),
+        );
+        let batch: Vec<Arc<Message>> = (0..3)
+            .map(|_| stamped(&core, Destination::queue("q"), DeliveryMode::Persistent))
+            .collect();
+        let err = core.route(&batch).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err:?}");
+        assert_eq!(core.counters().routed.load(Ordering::Relaxed), 2);
+        let queue = core.queue_endpoint(&QueueName::new("q"));
+        assert_eq!(
+            drain(&queue, clock.as_ref()),
+            [batch[0].id(), batch[1].id()]
+        );
+    }
+
+    #[test]
     fn unmatched_topic_publish_is_counted_unroutable() {
         let (core, _clock) = core_with_clock();
         let message = stamped(&core, Destination::topic("empty"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         assert_eq!(core.counters().unroutable.load(Ordering::Relaxed), 1);
     }
 
@@ -1284,7 +1254,7 @@ mod tests {
         core.drop_non_durable(&topic, consumer);
         assert!(endpoint.is_destroyed());
         let message = stamped(&core, Destination::topic("t"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         assert_eq!(core.counters().unroutable.load(Ordering::Relaxed), 1);
     }
 
@@ -1299,7 +1269,7 @@ mod tests {
         core.deactivate_durable(&client, "audit");
         // Messages published while inactive are retained.
         let message = stamped(&core, Destination::topic("t"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         // Resume sees them.
         let resumed = core
             .resume_durable(&client, "audit", &topic, None, ConsumerId::from_raw(2))
@@ -1331,7 +1301,7 @@ mod tests {
             .unwrap();
         core.deactivate_durable(&client, "s");
         let message = stamped(&core, Destination::topic("t"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         // Re-subscribe with a selector → fresh subscription, old messages gone.
         let selector = Some(Selector::parse("x = 1").unwrap());
         let new = core
@@ -1387,8 +1357,8 @@ mod tests {
         let (core, clock) = core_with_clock();
         let p = stamped(&core, Destination::queue("q"), DeliveryMode::Persistent);
         let np = stamped(&core, Destination::queue("q"), DeliveryMode::NonPersistent);
-        core.route(&p).unwrap();
-        core.route(&np).unwrap();
+        core.route(slice::from_ref(&p)).unwrap();
+        core.route(slice::from_ref(&np)).unwrap();
         core.crash();
         core.recover();
         let endpoint = core.queue_endpoint(&QueueName::new("q"));
@@ -1407,7 +1377,7 @@ mod tests {
             .resume_durable(&client, "s", &topic, None, ConsumerId::from_raw(2))
             .unwrap();
         let message = stamped(&core, Destination::topic("t"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         core.crash();
         core.recover();
         assert!(ephemeral.is_destroyed());
@@ -1427,7 +1397,7 @@ mod tests {
             .losing_persistent_on_crash();
         let core = Core::new(config);
         let p = stamped(&core, Destination::queue("q"), DeliveryMode::Persistent);
-        core.route(&p).unwrap();
+        core.route(slice::from_ref(&p)).unwrap();
         core.crash();
         core.recover();
         let endpoint = core.queue_endpoint(&QueueName::new("q"));
@@ -1442,7 +1412,7 @@ mod tests {
             .with_delivery_delay(Duration::from_millis(10));
         let core = Core::new(config);
         let message = stamped(&core, Destination::queue("q"), DeliveryMode::Persistent);
-        core.route(&message).unwrap();
+        core.route(slice::from_ref(&message)).unwrap();
         let endpoint = core.queue_endpoint(&QueueName::new("q"));
         assert_eq!(drain(&endpoint, clock.as_ref()), Vec::<MessageId>::new());
         clock.advance(Duration::from_millis(10));

@@ -8,12 +8,11 @@ use jmst_api::id::SessionId;
 use jmst_api::message::Message;
 use jmst_api::selector::Selector;
 use jmst_api::time::{Clock, Timestamp};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How a received message is tracked for acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,9 +53,6 @@ struct Inner {
     destroyed: bool,
     expired_dropped: u64,
     delivered: u64,
-    /// Receivers currently blocked in [`Endpoint::receive`]; lets inserts
-    /// skip the condvar entirely when nobody is waiting.
-    waiters: usize,
 }
 
 /// Statistics snapshot of an end-point.
@@ -72,23 +68,31 @@ pub struct EndpointStats {
     pub delivered: u64,
 }
 
-/// Readiness callbacks registered by multiplexed (non-blocking)
-/// consumers: fired — outside the buffer lock — whenever a message may
-/// have become available or the end-point's state changed.
+/// A registered readiness callback.
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
+/// Readiness callbacks registered by consumers: fired — outside the
+/// buffer lock — whenever a message may have become available or the
+/// end-point's state changed.
 ///
 /// The atomic count lets the hot publish path skip the waker lock
-/// entirely when nobody registered, mirroring the `waiters` optimisation
-/// for blocked receivers.
+/// entirely when nobody registered.
 #[derive(Default)]
 struct WakerSet {
     count: AtomicUsize,
-    wakers: Mutex<Vec<Arc<dyn Fn() + Send + Sync>>>,
+    wakers: Mutex<Vec<Waker>>,
 }
 
 impl WakerSet {
-    fn add(&self, waker: Arc<dyn Fn() + Send + Sync>) {
+    fn add(&self, waker: Waker) {
         let mut wakers = self.wakers.lock();
         wakers.push(waker);
+        self.count.store(wakers.len(), Ordering::Release);
+    }
+
+    fn remove(&self, waker: &Waker) {
+        let mut wakers = self.wakers.lock();
+        wakers.retain(|registered| !Arc::ptr_eq(registered, waker));
         self.count.store(wakers.len(), Ordering::Release);
     }
 
@@ -121,48 +125,27 @@ impl fmt::Debug for WakerSet {
 
 /// A message buffer for one consumer group (queue or subscription).
 ///
-/// Thread-safe: producers insert from any thread. Consumers either block
-/// in [`Endpoint::receive`] or pair a persistent waker
-/// ([`Endpoint::add_waker`]) with the non-blocking
-/// [`Endpoint::try_receive_batch`]. Delivery order is highest priority
-/// first and FIFO within a priority, which preserves the per-producer
-/// ordering the paper's Property 3 requires. A queue selector filters in
-/// place: entries it rejects are skipped, never removed, so they keep
-/// their position for other consumers.
+/// Thread-safe: producers insert runs of messages from any thread.
+/// Consumers never block here: they take with the non-blocking
+/// [`Endpoint::try_receive_batch`] and learn when to come back from a
+/// waker registered through [`Endpoint::add_waker`]. Delivery order is
+/// highest priority first and FIFO within a priority, which preserves the
+/// per-producer ordering the paper's Property 3 requires. A queue
+/// selector filters in place: entries it rejects are skipped, never
+/// removed, so they keep their position for other consumers.
 #[derive(Debug)]
 pub struct Endpoint {
     id: EndpointId,
     enforce_expiry: bool,
     enforce_priority: bool,
-    /// Backpressure bound on `pending` enforced by the `try_insert`
-    /// family (the routing path). `None` is unbounded. The plain
-    /// `insert` family ignores the bound: dead-letter parking must never
-    /// fail.
+    /// Backpressure bound on `pending` enforced by
+    /// [`Endpoint::try_insert_batch`] (the routing path). `None` is
+    /// unbounded. [`Endpoint::insert_batch`] ignores the bound:
+    /// dead-letter parking must never fail.
     bound: Option<usize>,
     inner: Mutex<Inner>,
-    available: Condvar,
     wakers: WakerSet,
 }
-
-/// Outcome of a bounded, non-blocking insert ([`Endpoint::try_insert`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The message was buffered.
-    Inserted,
-    /// The backpressure bound is reached; the caller should surface
-    /// `WouldBlock`-style backpressure (the harness maps this to
-    /// [`Error::ResourceExhausted`]) instead of buffering unboundedly.
-    Full,
-    /// The end-point was destroyed.
-    Destroyed,
-}
-
-/// Upper bound on one condvar wait. Arrivals, visibility edges, session
-/// recovery, crash and destroy all notify the condvar, so waits normally
-/// end by wakeup; this coarse slice only bounds how long a receiver can
-/// miss conditions nothing notifies for (connection stop/start, virtual
-/// clock advances).
-const LIVENESS_SLICE: Duration = Duration::from_millis(25);
 
 impl Endpoint {
     /// Creates an empty end-point.
@@ -179,16 +162,14 @@ impl Endpoint {
                 destroyed: false,
                 expired_dropped: 0,
                 delivered: 0,
-                waiters: 0,
             }),
-            available: Condvar::new(),
             wakers: WakerSet::default(),
         }
     }
 
-    /// Returns a copy with a backpressure bound: [`Endpoint::try_insert`]
-    /// and [`Endpoint::try_insert_batch`] report [`InsertOutcome::Full`]
-    /// once `bound` messages are pending. `None` is unbounded.
+    /// Returns a copy with a backpressure bound:
+    /// [`Endpoint::try_insert_batch`] stops buffering once `bound`
+    /// messages are pending. `None` is unbounded.
     pub fn with_bound(mut self, bound: Option<usize>) -> Self {
         self.bound = bound;
         self
@@ -207,10 +188,22 @@ impl Endpoint {
     /// Registers a readiness callback fired (outside the buffer lock)
     /// whenever a message may have become available or the end-point's
     /// state changed: inserts, session recovery, crash, destroy.
-    /// Spurious invocations are allowed. Wakers live until the end-point
-    /// is destroyed.
-    pub fn add_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
+    /// Spurious invocations are allowed. A waker lives until
+    /// [`Endpoint::remove_waker`] or until the end-point is destroyed.
+    pub fn add_waker(&self, waker: Waker) {
         self.wakers.add(waker);
+    }
+
+    /// Unregisters a waker added through [`Endpoint::add_waker`]
+    /// (matched by identity); unknown wakers are ignored.
+    pub fn remove_waker(&self, waker: &Waker) {
+        self.wakers.remove(waker);
+    }
+
+    /// Number of registered wakers.
+    #[cfg(test)]
+    pub(crate) fn waker_count(&self) -> usize {
+        self.wakers.count.load(Ordering::Acquire)
     }
 
     /// Buffers `message` under the next arrival sequence (ranked by
@@ -234,92 +227,20 @@ impl Endpoint {
         );
     }
 
-    /// Wakes blocked receivers, but only if there are any: the common
-    /// publish path with no waiting consumer skips the condvar call.
-    fn wake_receivers(&self, inner: &Inner) {
-        if inner.waiters > 0 {
-            self.available.notify_all();
-        }
-    }
-
-    /// Inserts a message that becomes visible to consumers at
-    /// `visible_at`. Returns `false` if the end-point was destroyed.
+    /// Buffers `messages` in order, all visible from `visible_at`, under
+    /// one buffer lock, stopping once `bound` messages are pending, and
+    /// fires the wakers once if anything was buffered. Returns the
+    /// number buffered and whether the bound cut the run short; `(0,
+    /// false)` means the end-point was destroyed (or the run was empty).
     ///
-    /// The message is shared, not copied: fanning one publish out to many
-    /// end-points only bumps the [`Arc`] reference count.
-    pub fn insert(&self, message: Arc<Message>, visible_at: Timestamp) -> bool {
-        {
-            let mut inner = self.inner.lock();
-            if inner.destroyed {
-                return false;
-            }
-            self.push(&mut inner, message, visible_at);
-            self.wake_receivers(&inner);
-        }
-        self.wakers.fire();
-        true
-    }
-
-    /// Inserts a batch of messages that all become visible at
-    /// `visible_at`, taking the buffer lock once and waking receivers
-    /// once for the whole batch. Returns the number inserted (`0` if the
-    /// end-point was destroyed).
-    ///
-    /// Equivalent to calling [`Endpoint::insert`] per message in order —
-    /// arrival sequence numbers are assigned in iteration order — but
-    /// with the per-message lock/wakeup cost amortised.
-    pub fn insert_batch<'a, I>(&self, messages: I, visible_at: Timestamp) -> u64
-    where
-        I: IntoIterator<Item = &'a Arc<Message>>,
-    {
-        let inserted = {
-            let mut inner = self.inner.lock();
-            if inner.destroyed {
-                return 0;
-            }
-            let mut inserted = 0u64;
-            for message in messages {
-                self.push(&mut inner, Arc::clone(message), visible_at);
-                inserted += 1;
-            }
-            if inserted > 0 {
-                self.wake_receivers(&inner);
-            }
-            inserted
-        };
-        if inserted > 0 {
-            self.wakers.fire();
-        }
-        inserted
-    }
-
-    /// Inserts a message respecting the backpressure bound: with `bound`
-    /// pending messages already buffered the message is rejected with
-    /// [`InsertOutcome::Full`] instead of growing the buffer. This is
-    /// the routing path's insert; in-flight (delivered, unacknowledged)
-    /// messages do not count against the bound.
-    pub fn try_insert(&self, message: Arc<Message>, visible_at: Timestamp) -> InsertOutcome {
-        {
-            let mut inner = self.inner.lock();
-            if inner.destroyed {
-                return InsertOutcome::Destroyed;
-            }
-            if self.bound.is_some_and(|bound| inner.pending.len() >= bound) {
-                return InsertOutcome::Full;
-            }
-            self.push(&mut inner, message, visible_at);
-            self.wake_receivers(&inner);
-        }
-        self.wakers.fire();
-        InsertOutcome::Inserted
-    }
-
-    /// Bounded batch insert: buffers messages in order until the
-    /// backpressure bound is reached, then rejects the rest. Returns the
-    /// number inserted and whether the bound cut the batch short.
-    /// `(0, false)` with a non-empty input means the end-point was
-    /// destroyed.
-    pub fn try_insert_batch<'a, I>(&self, messages: I, visible_at: Timestamp) -> (u64, bool)
+    /// The messages are shared, not copied: fanning one publish out to
+    /// many end-points only bumps the [`Arc`] reference counts.
+    fn insert_run<'a, I>(
+        &self,
+        messages: I,
+        visible_at: Timestamp,
+        bound: Option<usize>,
+    ) -> (u64, bool)
     where
         I: IntoIterator<Item = &'a Arc<Message>>,
     {
@@ -331,15 +252,12 @@ impl Endpoint {
             let mut inserted = 0u64;
             let mut hit_bound = false;
             for message in messages {
-                if self.bound.is_some_and(|bound| inner.pending.len() >= bound) {
+                if bound.is_some_and(|bound| inner.pending.len() >= bound) {
                     hit_bound = true;
                     break;
                 }
                 self.push(&mut inner, Arc::clone(message), visible_at);
                 inserted += 1;
-            }
-            if inserted > 0 {
-                self.wake_receivers(&inner);
             }
             (inserted, hit_bound)
         };
@@ -349,90 +267,43 @@ impl Endpoint {
         (inserted, hit_bound)
     }
 
-    /// Receives the next visible, unexpired message that `selector`
-    /// accepts (`None` accepts every message), blocking up to `timeout`
-    /// (`None` waits without bound).
-    ///
-    /// `session` identifies the receiving session for in-flight tracking;
-    /// `track` selects the acknowledgement discipline. `started` is
-    /// polled so a stopped connection suspends delivery; `alive` is polled
-    /// so broker crashes and closed consumers abort the wait.
-    ///
-    /// The timeout is measured on `clock`. With a virtual clock a timeout
-    /// only elapses if some other thread advances the clock — use
-    /// `Some(Duration::ZERO)` (poll) or a real clock for blocking
-    /// receives in tests.
-    ///
-    /// Waits are wakeup-driven: inserts, session recovery, crash and
-    /// destroy notify blocked receivers, and a receiver that saw only
-    /// not-yet-visible messages sleeps exactly until the earliest
-    /// visibility edge. Conditions nothing notifies for (connection
-    /// stop/start, virtual clock advances) are caught by a coarse
-    /// [`LIVENESS_SLICE`] re-check.
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever error `alive` reports (for example
-    /// [`Error::EndpointClosed`] after a concurrent close).
-    #[allow(clippy::too_many_arguments)]
-    pub fn receive(
-        &self,
-        clock: &dyn Clock,
-        timeout: Option<Duration>,
-        session: SessionId,
-        track: TrackMode,
-        selector: Option<&Selector>,
-        started: &dyn Fn() -> bool,
-        alive: &dyn Fn() -> Result<(), Error>,
-    ) -> Result<Option<Arc<Message>>, Error> {
-        let deadline = timeout.map(|t| clock.now().saturating_add(t));
-        let mut inner = self.inner.lock();
-        loop {
-            alive()?;
-            if inner.destroyed {
-                return Err(Error::EndpointClosed);
-            }
-            let now = clock.now();
-            if started() {
-                if let Some(message) = self.take(&mut inner, now, session, track, selector) {
-                    return Ok(Some(message));
-                }
-            }
-            // Nothing deliverable: sleep until something can change that —
-            // a wakeup, the next visibility edge, the caller's deadline —
-            // bounded by the liveness slice.
-            if let Some(deadline) = deadline {
-                if now >= deadline {
-                    return Ok(None);
-                }
-            }
-            let mut wait = LIVENESS_SLICE;
-            if let Some(deadline) = deadline {
-                wait = wait.min(deadline.saturating_since(now));
-            }
-            if started() {
-                if let Some(visible_at) = Self::next_visible_at(&inner, now) {
-                    wait = wait.min(visible_at.saturating_since(now));
-                }
-            }
-            inner.waiters += 1;
-            self.available.wait_for(&mut inner, wait);
-            inner.waiters -= 1;
-        }
+    /// Inserts a run of messages that all become visible at
+    /// `visible_at`, ignoring the backpressure bound. Arrival sequence
+    /// numbers follow iteration order. Returns the number inserted (`0`
+    /// if the end-point was destroyed).
+    pub fn insert_batch<'a, I>(&self, messages: I, visible_at: Timestamp) -> u64
+    where
+        I: IntoIterator<Item = &'a Arc<Message>>,
+    {
+        self.insert_run(messages, visible_at, None).0
+    }
+
+    /// Bounded insert: buffers messages in order until the backpressure
+    /// bound is reached, then rejects the rest. Returns the number
+    /// inserted and whether the bound cut the run short. `(0, false)`
+    /// with a non-empty input means the end-point was destroyed.
+    /// In-flight (delivered, unacknowledged) messages do not count
+    /// against the bound.
+    pub fn try_insert_batch<'a, I>(&self, messages: I, visible_at: Timestamp) -> (u64, bool)
+    where
+        I: IntoIterator<Item = &'a Arc<Message>>,
+    {
+        self.insert_run(messages, visible_at, self.bound)
     }
 
     /// Takes up to `max` visible, unexpired messages that `selector`
-    /// accepts without blocking, holding the buffer lock once for the
-    /// whole batch. Returns an empty vector when nothing is deliverable
-    /// (or the connection is stopped).
+    /// accepts (`None` accepts every message) without blocking, holding
+    /// the buffer lock once for the whole batch. Returns an empty vector
+    /// when nothing is deliverable (or the connection is stopped).
     ///
-    /// This is the multiplexer's receive path: a worker thread draining
-    /// many virtual consumers calls this instead of parking per-client in
-    /// [`Endpoint::receive`], pairing it with a waker registered through
-    /// [`Endpoint::add_waker`] to learn when to come back.
-    ///
-    /// Tracking semantics are identical to `max` sequential receives with
-    /// a zero timeout.
+    /// This is the only receive path. `session` identifies the receiving
+    /// session for in-flight tracking; `track` selects the
+    /// acknowledgement discipline. `started` is checked so a stopped
+    /// connection suspends delivery; `alive` is checked so broker
+    /// crashes and closed consumers surface as errors. A consumer that
+    /// finds nothing learns when to try again from a waker
+    /// ([`Endpoint::add_waker`]) and from
+    /// [`Endpoint::next_visible_at`].
     ///
     /// # Errors
     ///
@@ -468,9 +339,12 @@ impl Endpoint {
         Ok(batch)
     }
 
-    /// The earliest future visibility edge among pending messages, if any.
-    fn next_visible_at(inner: &Inner, now: Timestamp) -> Option<Timestamp> {
-        inner
+    /// The earliest visibility edge after `now` among pending messages,
+    /// if any: when a receiver that found nothing deliverable should
+    /// look again even if no waker fires.
+    pub fn next_visible_at(&self, now: Timestamp) -> Option<Timestamp> {
+        self.inner
+            .lock()
             .pending
             .values()
             .filter(|entry| entry.visible_at > now)
@@ -586,7 +460,6 @@ impl Endpoint {
         for message in recovered {
             self.requeue_redelivered(&mut inner, message, now, max_redeliveries, &mut poisoned);
         }
-        self.wake_receivers(&inner);
         drop(inner);
         self.wakers.fire();
         poisoned
@@ -654,21 +527,20 @@ impl Endpoint {
         inner
             .pending
             .retain(|_, entry| keep_persistent && entry.message.delivery_mode().is_persistent());
-        self.wake_receivers(&inner);
         drop(inner);
         self.wakers.fire();
         poisoned
     }
 
-    /// Destroys the end-point: pending messages are discarded and blocked
-    /// receivers are woken (they observe [`Error::EndpointClosed`]);
-    /// registered wakers fire one final time and are released.
+    /// Destroys the end-point: pending messages are discarded, later
+    /// inserts are refused and later receives observe
+    /// [`Error::EndpointClosed`]; registered wakers fire one final time
+    /// (so parked receivers look again) and are released.
     pub fn destroy(&self) {
         let mut inner = self.inner.lock();
         inner.destroyed = true;
         inner.pending.clear();
         inner.in_flight.clear();
-        self.wake_receivers(&inner);
         drop(inner);
         self.wakers.fire();
         self.wakers.clear();
@@ -700,6 +572,7 @@ mod tests {
     use jmst_api::modes::{DeliveryMode, Priority, TimeToLive};
     use jmst_sim::VirtualClock;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn endpoint() -> Endpoint {
         Endpoint::new(EndpointId::for_queue(QueueName::new("q")), true, true)
@@ -721,20 +594,22 @@ mod tests {
         )
     }
 
+    /// Inserts one message, ignoring the bound; `false` if destroyed.
+    fn put(ep: &Endpoint, message: Arc<Message>, visible_at: Timestamp) -> bool {
+        ep.insert_batch([&message], visible_at) == 1
+    }
+
+    /// Inserts one message within the bound: `(inserted, hit_bound)`.
+    fn try_put(ep: &Endpoint, message: Arc<Message>, visible_at: Timestamp) -> (u64, bool) {
+        ep.try_insert_batch([&message], visible_at)
+    }
+
     fn receive_now(
         ep: &Endpoint,
         clock: &dyn Clock,
         track: TrackMode,
     ) -> Result<Option<Arc<Message>>, Error> {
-        ep.receive(
-            clock,
-            Some(Duration::ZERO),
-            SessionId::from_raw(1),
-            track,
-            None,
-            &|| true,
-            &|| Ok(()),
-        )
+        Ok(batch_now(ep, clock, track, None, 1)?.pop())
     }
 
     fn batch_now(
@@ -753,7 +628,11 @@ mod tests {
         let clock = VirtualClock::new();
         let ep = endpoint();
         for i in 0..3 {
-            ep.insert(message(i, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+            put(
+                &ep,
+                message(i, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO,
+            );
         }
         for i in 0..3 {
             let got = receive_now(&ep, &clock, TrackMode::Immediate)
@@ -771,9 +650,21 @@ mod tests {
     fn higher_priority_first() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 1, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        ep.insert(message(1, 8, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        ep.insert(message(2, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 1, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
+        put(
+            &ep,
+            message(1, 8, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
+        put(
+            &ep,
+            message(2, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         let order: Vec<u64> = (0..3)
             .map(|_| {
                 receive_now(&ep, &clock, TrackMode::Immediate)
@@ -789,8 +680,16 @@ mod tests {
     fn priority_ignored_when_not_enforced() {
         let clock = VirtualClock::new();
         let ep = Endpoint::new(EndpointId::for_queue(QueueName::new("q")), true, false);
-        ep.insert(message(0, 1, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        ep.insert(message(1, 8, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 1, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
+        put(
+            &ep,
+            message(1, 8, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         let first = receive_now(&ep, &clock, TrackMode::Immediate)
             .unwrap()
             .unwrap();
@@ -801,7 +700,8 @@ mod tests {
     fn visibility_delay_hides_messages() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(
+        put(
+            &ep,
             message(0, 4, DeliveryMode::Persistent, 0),
             Timestamp::from_millis(10),
         );
@@ -819,8 +719,16 @@ mod tests {
     fn expired_messages_are_dropped_and_counted() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 1), Timestamp::ZERO);
-        ep.insert(message(1, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 1),
+            Timestamp::ZERO,
+        );
+        put(
+            &ep,
+            message(1, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         clock.advance(Duration::from_millis(5));
         let got = receive_now(&ep, &clock, TrackMode::Immediate)
             .unwrap()
@@ -833,7 +741,11 @@ mod tests {
     fn expired_messages_delivered_when_not_enforced() {
         let clock = VirtualClock::new();
         let ep = Endpoint::new(EndpointId::for_queue(QueueName::new("q")), false, true);
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 1), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 1),
+            Timestamp::ZERO,
+        );
         clock.advance(Duration::from_millis(5));
         let got = receive_now(&ep, &clock, TrackMode::Immediate)
             .unwrap()
@@ -846,7 +758,11 @@ mod tests {
     fn in_flight_tracking_ack_and_recover() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         let got = receive_now(&ep, &clock, TrackMode::InFlight)
             .unwrap()
             .unwrap();
@@ -871,8 +787,16 @@ mod tests {
     fn ack_message_removes_single_entry() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        ep.insert(message(1, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
+        put(
+            &ep,
+            message(1, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         let a = receive_now(&ep, &clock, TrackMode::InFlight)
             .unwrap()
             .unwrap();
@@ -887,12 +811,21 @@ mod tests {
     fn crash_keeps_only_persistent_and_requeues_in_flight() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        ep.insert(
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
+        put(
+            &ep,
             message(1, 4, DeliveryMode::NonPersistent, 0),
             Timestamp::ZERO,
         );
-        ep.insert(message(2, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(2, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         // Take one persistent message but do not ack it.
         let taken = receive_now(&ep, &clock, TrackMode::InFlight)
             .unwrap()
@@ -913,7 +846,11 @@ mod tests {
     fn crash_without_persistence_loses_everything() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         ep.crash(false, clock.now(), None);
         assert_eq!(
             receive_now(&ep, &clock, TrackMode::Immediate).unwrap(),
@@ -925,7 +862,11 @@ mod tests {
     fn bounded_redelivery_parks_poison_messages() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         // Redelivery 1 (delivery 2) is within the bound of 1.
         receive_now(&ep, &clock, TrackMode::InFlight)
             .unwrap()
@@ -949,7 +890,11 @@ mod tests {
     fn crash_redelivery_counts_toward_poison_bound() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         receive_now(&ep, &clock, TrackMode::InFlight)
             .unwrap()
             .unwrap();
@@ -964,78 +909,62 @@ mod tests {
     }
 
     #[test]
-    fn destroy_wakes_and_errors() {
-        let clock = Arc::new(VirtualClock::new());
-        let ep = Arc::new(endpoint());
-        let ep2 = Arc::clone(&ep);
-        let clock2 = Arc::clone(&clock);
-        let handle = std::thread::spawn(move || {
-            ep2.receive(
-                clock2.as_ref(),
-                None,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                None,
-                &|| true,
-                &|| Ok(()),
-            )
-        });
-        std::thread::sleep(Duration::from_millis(20));
+    fn destroy_refuses_inserts_and_receives() {
+        let clock = VirtualClock::new();
+        let ep = endpoint();
+        assert!(put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO
+        ));
         ep.destroy();
-        let result = handle.join().unwrap();
-        assert_eq!(result.unwrap_err(), Error::EndpointClosed);
         assert!(ep.is_destroyed());
+        assert_eq!(ep.stats().pending, 0);
+        // Receives after destroy error out.
+        assert_eq!(
+            receive_now(&ep, &clock, TrackMode::Immediate).unwrap_err(),
+            Error::EndpointClosed
+        );
         // Inserts after destroy are refused.
-        assert!(!ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO));
+        assert!(!put(
+            &ep,
+            message(1, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO
+        ));
     }
 
     #[test]
     fn stopped_connection_suspends_delivery() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         let got = ep
-            .receive(
+            .try_receive_batch(
                 &clock,
-                Some(Duration::ZERO),
                 SessionId::from_raw(1),
                 TrackMode::Immediate,
                 None,
+                1,
                 &|| false, // connection stopped
                 &|| Ok(()),
             )
             .unwrap();
-        assert_eq!(got, None);
-    }
-
-    #[test]
-    fn blocking_receive_wakes_on_insert() {
-        let clock = Arc::new(VirtualClock::new());
-        let ep = Arc::new(endpoint());
-        let ep2 = Arc::clone(&ep);
-        let clock2 = Arc::clone(&clock);
-        let handle = std::thread::spawn(move || {
-            ep2.receive(
-                clock2.as_ref(),
-                None,
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                None,
-                &|| true,
-                &|| Ok(()),
-            )
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        ep.insert(message(7, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
-        let got = handle.join().unwrap().unwrap().unwrap();
-        assert_eq!(got.sequence(), 7);
+        assert_eq!(got, Vec::<Arc<Message>>::new());
     }
 
     #[test]
     fn delivered_counter_increments() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         receive_now(&ep, &clock, TrackMode::Immediate).unwrap();
         assert_eq!(ep.stats().delivered, 1);
     }
@@ -1045,7 +974,7 @@ mod tests {
         let clock = VirtualClock::new();
         let ep = endpoint();
         let sent = message(0, 4, DeliveryMode::Persistent, 0);
-        ep.insert(Arc::clone(&sent), Timestamp::ZERO);
+        put(&ep, Arc::clone(&sent), Timestamp::ZERO);
         let got = receive_now(&ep, &clock, TrackMode::Immediate)
             .unwrap()
             .unwrap();
@@ -1057,31 +986,33 @@ mod tests {
     }
 
     #[test]
-    fn blocked_receiver_wakes_at_visibility_edge() {
-        use jmst_api::time::SystemClock;
-        let clock = Arc::new(SystemClock::new());
-        let ep = Arc::new(endpoint());
-        let visible_at = clock.now().saturating_add(Duration::from_millis(30));
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), visible_at);
-        let ep2 = Arc::clone(&ep);
-        let clock2 = Arc::clone(&clock);
-        let handle = std::thread::spawn(move || {
-            ep2.receive(
-                clock2.as_ref(),
-                Some(Duration::from_secs(5)),
-                SessionId::from_raw(1),
-                TrackMode::Immediate,
-                None,
-                &|| true,
-                &|| Ok(()),
-            )
-        });
-        let got = handle.join().unwrap().unwrap();
-        assert!(got.is_some(), "visibility edge must wake the receiver");
-        assert!(
-            clock.now() < Timestamp::from_millis(2_000),
-            "receiver should wake at the edge, not at the timeout"
+    fn next_visible_at_reports_the_earliest_future_edge() {
+        let ep = endpoint();
+        assert_eq!(ep.next_visible_at(Timestamp::ZERO), None);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::from_millis(30),
         );
+        put(
+            &ep,
+            message(1, 4, DeliveryMode::Persistent, 0),
+            Timestamp::from_millis(10),
+        );
+        put(
+            &ep,
+            message(2, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
+        assert_eq!(
+            ep.next_visible_at(Timestamp::ZERO),
+            Some(Timestamp::from_millis(10))
+        );
+        assert_eq!(
+            ep.next_visible_at(Timestamp::from_millis(10)),
+            Some(Timestamp::from_millis(30))
+        );
+        assert_eq!(ep.next_visible_at(Timestamp::from_millis(30)), None);
     }
 
     #[test]
@@ -1089,7 +1020,11 @@ mod tests {
         let clock = VirtualClock::new();
         let ep = endpoint();
         for i in 0..5 {
-            ep.insert(message(i, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+            put(
+                &ep,
+                message(i, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO,
+            );
         }
         let batch = batch_now(&ep, &clock, TrackMode::Immediate, None, 3).unwrap();
         assert_eq!(
@@ -1110,7 +1045,11 @@ mod tests {
         let clock = VirtualClock::new();
         let ep = endpoint();
         for i in 0..3 {
-            ep.insert(message(i, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+            put(
+                &ep,
+                message(i, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO,
+            );
         }
         let batch = batch_now(&ep, &clock, TrackMode::InFlight, None, 10).unwrap();
         assert_eq!(batch.len(), 3);
@@ -1123,7 +1062,11 @@ mod tests {
     fn try_receive_batch_respects_stopped_connection_and_destroy() {
         let clock = VirtualClock::new();
         let ep = endpoint();
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         let stopped = ep
             .try_receive_batch(
                 &clock,
@@ -1160,7 +1103,7 @@ mod tests {
             )
         };
         for (seq, region) in [(0, "apac"), (1, "emea"), (2, "apac"), (3, "emea")] {
-            ep.insert(tagged(seq, region), Timestamp::ZERO);
+            put(&ep, tagged(seq, region), Timestamp::ZERO);
         }
         let emea = Selector::parse("region = 'emea'").unwrap();
         let sequences =
@@ -1185,7 +1128,11 @@ mod tests {
         ep.add_waker(Arc::new(move || {
             counter.fetch_add(1, Ordering::SeqCst);
         }));
-        ep.insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO);
+        put(
+            &ep,
+            message(0, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO,
+        );
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         let more: Vec<Arc<Message>> = (1..4)
             .map(|i| message(i, 4, DeliveryMode::Persistent, 0))
@@ -1196,7 +1143,11 @@ mod tests {
         ep.destroy();
         assert_eq!(fired.load(Ordering::SeqCst), 3);
         // Destroy released the wakers; nothing fires afterwards.
-        assert!(!ep.insert(message(9, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO));
+        assert!(!put(
+            &ep,
+            message(9, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO
+        ));
         assert_eq!(fired.load(Ordering::SeqCst), 3);
     }
 
@@ -1207,16 +1158,28 @@ mod tests {
             .with_bound(Some(2));
         assert_eq!(ep.bound(), Some(2));
         assert_eq!(
-            ep.try_insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO),
-            InsertOutcome::Inserted
+            try_put(
+                &ep,
+                message(0, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO
+            ),
+            (1, false)
         );
         assert_eq!(
-            ep.try_insert(message(1, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO),
-            InsertOutcome::Inserted
+            try_put(
+                &ep,
+                message(1, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO
+            ),
+            (1, false)
         );
         assert_eq!(
-            ep.try_insert(message(2, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO),
-            InsertOutcome::Full
+            try_put(
+                &ep,
+                message(2, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO
+            ),
+            (0, true)
         );
         assert_eq!(ep.stats().pending, 2);
         // Draining one frees one slot.
@@ -1224,12 +1187,20 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(
-            ep.try_insert(message(2, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO),
-            InsertOutcome::Inserted
+            try_put(
+                &ep,
+                message(2, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO
+            ),
+            (1, false)
         );
-        // The unbounded insert family ignores the bound (reinserts,
-        // dead-letter parking).
-        assert!(ep.insert(message(3, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO));
+        // The unbounded insert ignores the bound (reinserts, dead-letter
+        // parking).
+        assert!(put(
+            &ep,
+            message(3, 4, DeliveryMode::Persistent, 0),
+            Timestamp::ZERO
+        ));
         assert_eq!(ep.stats().pending, 3);
     }
 
@@ -1255,16 +1226,24 @@ mod tests {
         let ep = Endpoint::new(EndpointId::for_queue(QueueName::new("q")), true, true)
             .with_bound(Some(1));
         assert_eq!(
-            ep.try_insert(message(0, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO),
-            InsertOutcome::Inserted
+            try_put(
+                &ep,
+                message(0, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO
+            ),
+            (1, false)
         );
         receive_now(&ep, &clock, TrackMode::InFlight)
             .unwrap()
             .unwrap();
         assert_eq!(ep.stats().in_flight, 1);
         assert_eq!(
-            ep.try_insert(message(1, 4, DeliveryMode::Persistent, 0), Timestamp::ZERO),
-            InsertOutcome::Inserted
+            try_put(
+                &ep,
+                message(1, 4, DeliveryMode::Persistent, 0),
+                Timestamp::ZERO
+            ),
+            (1, false)
         );
     }
 }

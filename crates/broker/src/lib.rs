@@ -25,7 +25,7 @@ mod session;
 
 pub use config::BrokerConfig;
 pub use connection::BrokerConnection;
-pub use endpoint::{EndpointStats, InsertOutcome};
+pub use endpoint::EndpointStats;
 pub use faults::{FaultCounters, FaultSpec, InvalidFaultSpec};
 pub use provider::ReferenceBroker;
 pub use session::{BrokerConsumer, BrokerProducer, BrokerSession};

@@ -956,4 +956,117 @@ mod tests {
         }
         assert_eq!(sent, received);
     }
+
+    #[test]
+    fn destroy_wakes_and_errors() {
+        let broker = ReferenceBroker::new();
+        let mut connection = started_connection(&broker);
+        let mut session = connection
+            .create_session(SessionMode::AutoAcknowledge)
+            .unwrap();
+        let mut consumer = session
+            .create_consumer(&Destination::topic("t"), None)
+            .unwrap();
+        let id = consumer.id();
+        let handle = std::thread::spawn(move || consumer.receive(None));
+        std::thread::sleep(Duration::from_millis(20));
+        // Destroying the subscription's end-point under the blocked
+        // receiver wakes it, and the retry observes the closed end-point.
+        broker
+            .core
+            .drop_non_durable(&jmst_api::destination::TopicName::new("t"), id);
+        let result = handle.join().unwrap();
+        assert_eq!(result.unwrap_err(), Error::EndpointClosed);
+    }
+
+    #[test]
+    fn blocking_receive_wakes_on_insert() {
+        let broker = ReferenceBroker::new();
+        let mut connection = started_connection(&broker);
+        let mut session = connection
+            .create_session(SessionMode::AutoAcknowledge)
+            .unwrap();
+        let queue = Destination::queue("q");
+        let mut consumer = session.create_consumer(&queue, None).unwrap();
+        let mut producer = session.create_producer(&queue).unwrap();
+        let handle = std::thread::spawn(move || consumer.receive(None));
+        std::thread::sleep(Duration::from_millis(10));
+        let sent = producer.send(MessageDraft::text("late")).unwrap();
+        let got = handle.join().unwrap().unwrap().unwrap();
+        assert_eq!(got.id(), sent.id());
+    }
+
+    #[test]
+    fn blocked_receiver_wakes_at_visibility_edge() {
+        let broker = ReferenceBroker::with_config(
+            BrokerConfig::correct().with_delivery_delay(Duration::from_millis(30)),
+        );
+        let mut connection = started_connection(&broker);
+        let mut session = connection
+            .create_session(SessionMode::AutoAcknowledge)
+            .unwrap();
+        let queue = Destination::queue("q");
+        let mut producer = session.create_producer(&queue).unwrap();
+        let mut consumer = session.create_consumer(&queue, None).unwrap();
+        producer.send(MessageDraft::text("deferred")).unwrap();
+        let started = std::time::Instant::now();
+        let got = consumer.receive(Some(Duration::from_secs(5))).unwrap();
+        assert!(got.is_some(), "visibility edge must wake the receiver");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "receiver should wake at the edge, not at the timeout"
+        );
+    }
+
+    #[test]
+    fn zero_timeout_poll_registers_no_waker() {
+        let broker = ReferenceBroker::new();
+        let mut connection = started_connection(&broker);
+        let mut session = connection
+            .create_session(SessionMode::AutoAcknowledge)
+            .unwrap();
+        let queue = Destination::queue("q");
+        let mut consumer = session.create_consumer(&queue, None).unwrap();
+        let endpoint = broker
+            .core
+            .queue_endpoint(&jmst_api::destination::QueueName::new("q"));
+        assert_eq!(consumer.receive(Some(Duration::ZERO)).unwrap(), None);
+        assert_eq!(endpoint.waker_count(), 0, "a poll must not register");
+        // The first receive that sleeps registers once; later ones reuse it.
+        for _ in 0..2 {
+            assert_eq!(
+                consumer.receive(Some(Duration::from_millis(5))).unwrap(),
+                None
+            );
+            assert_eq!(endpoint.waker_count(), 1);
+        }
+        // Closing the consumer unregisters its waker from the shared queue.
+        consumer.close().unwrap();
+        assert_eq!(endpoint.waker_count(), 0);
+    }
+
+    #[test]
+    fn duplicate_that_does_not_fit_a_full_queue_is_not_taken() {
+        let broker = ReferenceBroker::with_config(
+            BrokerConfig::correct()
+                .with_queue_bound(1)
+                .with_faults(crate::FaultSpec::none().duplicating(1.0)),
+        );
+        let mut connection = started_connection(&broker);
+        let mut session = connection
+            .create_session(SessionMode::AutoAcknowledge)
+            .unwrap();
+        let queue = Destination::queue("q");
+        let mut producer = session.create_producer(&queue).unwrap();
+        // One free slot: the publish takes it, the duplicate does not fit.
+        producer.send(MessageDraft::text("once")).unwrap();
+        let pending: usize = broker
+            .endpoint_stats()
+            .iter()
+            .map(|(_, stats)| stats.pending)
+            .sum();
+        assert_eq!(pending, 1);
+        assert_eq!(broker.messages_routed(), 1);
+        assert_eq!(broker.messages_duplicated(), 0);
+    }
 }

@@ -2,7 +2,7 @@
 
 use crate::connection::ConnState;
 use crate::core::Core;
-use crate::endpoint::{Endpoint, TrackMode};
+use crate::endpoint::{Endpoint, TrackMode, Waker};
 use jmst_api::destination::{Destination, TopicName};
 use jmst_api::error::Error;
 use jmst_api::id::{ClientId, ConsumerId, MessageId, ProducerId, SessionId};
@@ -10,7 +10,7 @@ use jmst_api::message::{Message, MessageDraft, Stamp};
 use jmst_api::modes::SessionMode;
 use jmst_api::provider::{Consumer, Producer, Session};
 use jmst_api::selector::Selector;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -238,6 +238,7 @@ impl Session for BrokerSession {
             kind,
             session: Arc::clone(&self.shared),
             closed: AtomicBool::new(false),
+            parker: None,
         }))
     }
 
@@ -269,6 +270,7 @@ impl Session for BrokerSession {
             },
             session: Arc::clone(&self.shared),
             closed: AtomicBool::new(false),
+            parker: None,
         }))
     }
 
@@ -305,7 +307,7 @@ impl Session for BrokerSession {
                 std::mem::take(&mut state.tx_receives),
             )
         };
-        self.shared.core.route_batch(&sends)?;
+        self.shared.core.route(&sends)?;
         for (endpoint, message_id) in receives {
             endpoint.ack_message(self.shared.id, message_id);
         }
@@ -361,6 +363,43 @@ pub struct BrokerProducer {
     closed: AtomicBool,
 }
 
+impl BrokerProducer {
+    /// Checks the producer, its session and the broker can take a send,
+    /// and draws the operational send faults (once per send call).
+    fn check_send(&self) -> Result<(), Error> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Err(Error::EndpointClosed);
+        }
+        self.session.check_open()?;
+        self.session.core.check_send()
+    }
+
+    /// Stamps `draft` with a fresh message id and this producer's next
+    /// sequence number.
+    fn stamp(&self, draft: MessageDraft) -> Arc<Message> {
+        let core = &self.session.core;
+        Arc::new(draft.stamp(Stamp {
+            id: core.ids().next_message_id(),
+            producer: self.id,
+            sequence: self.sequence.fetch_add(1, Ordering::SeqCst),
+            destination: self.destination.clone(),
+            sent_at: core.now(),
+        }))
+    }
+
+    /// Routes stamped messages now, or holds them for the commit of a
+    /// transacted session.
+    fn publish(&self, messages: &[Arc<Message>]) -> Result<(), Error> {
+        if self.session.mode == SessionMode::Transacted {
+            let mut state = self.session.state.lock();
+            state.pending_sends.extend(messages.iter().map(Arc::clone));
+            Ok(())
+        } else {
+            self.session.core.route(messages)
+        }
+    }
+}
+
 impl Producer for BrokerProducer {
     fn id(&self) -> ProducerId {
         self.id
@@ -371,57 +410,16 @@ impl Producer for BrokerProducer {
     }
 
     fn send(&mut self, draft: MessageDraft) -> Result<Message, Error> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(Error::EndpointClosed);
-        }
-        self.session.check_open()?;
-        self.session.core.check_send()?;
-        let message = Arc::new(draft.stamp(Stamp {
-            id: self.session.core.ids().next_message_id(),
-            producer: self.id,
-            sequence: self.sequence.fetch_add(1, Ordering::SeqCst),
-            destination: self.destination.clone(),
-            sent_at: self.session.core.now(),
-        }));
-        if self.session.mode == SessionMode::Transacted {
-            self.session
-                .state
-                .lock()
-                .pending_sends
-                .push(Arc::clone(&message));
-        } else {
-            self.session.core.route(&message)?;
-        }
+        self.check_send()?;
+        let message = self.stamp(draft);
+        self.publish(std::slice::from_ref(&message))?;
         Ok((*message).clone())
     }
 
     fn send_batch(&mut self, drafts: Vec<MessageDraft>) -> Result<Vec<Message>, Error> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(Error::EndpointClosed);
-        }
-        self.session.check_open()?;
-        self.session.core.check_send()?;
-        let messages: Vec<Arc<Message>> = drafts
-            .into_iter()
-            .map(|draft| {
-                Arc::new(draft.stamp(Stamp {
-                    id: self.session.core.ids().next_message_id(),
-                    producer: self.id,
-                    sequence: self.sequence.fetch_add(1, Ordering::SeqCst),
-                    destination: self.destination.clone(),
-                    sent_at: self.session.core.now(),
-                }))
-            })
-            .collect();
-        if self.session.mode == SessionMode::Transacted {
-            self.session
-                .state
-                .lock()
-                .pending_sends
-                .extend(messages.iter().map(Arc::clone));
-        } else {
-            self.session.core.route_batch(&messages)?;
-        }
+        self.check_send()?;
+        let messages: Vec<Arc<Message>> = drafts.into_iter().map(|d| self.stamp(d)).collect();
+        self.publish(&messages)?;
         Ok(messages.iter().map(|message| (**message).clone()).collect())
     }
 
@@ -447,6 +445,10 @@ enum ConsumerKind {
 /// queue's other consumers. A receive that finds no match waits like an
 /// empty receive; it never cycles messages through the queue or fires
 /// the end-point's wakers.
+///
+/// Receiving has one path: a non-blocking take from the end-point. A
+/// blocking [`Consumer::receive`] that finds nothing parks on a
+/// per-consumer [`Parker`], which the end-point's wakers unpark.
 #[derive(Debug)]
 pub struct BrokerConsumer {
     id: ConsumerId,
@@ -459,6 +461,57 @@ pub struct BrokerConsumer {
     kind: ConsumerKind,
     session: Arc<SessionShared>,
     closed: AtomicBool,
+    /// Where a blocking receive sleeps, registered with the end-point on
+    /// the first receive that actually has to wait.
+    parker: Option<Registered>,
+}
+
+/// Upper bound on one park. Arrivals, visibility edges, session
+/// recovery, crash and destroy all fire the end-point's wakers or bound
+/// the wait, so a park normally ends by wakeup; this coarse slice only
+/// bounds how long a receiver can miss conditions nothing signals
+/// (connection stop/start/close, virtual clock advances).
+const LIVENESS_SLICE: Duration = Duration::from_millis(25);
+
+/// A one-permit sleep slot: [`Parker::unpark`] stores a permit and
+/// wakes a sleeper; [`Parker::park_timeout`] consumes the permit or
+/// sleeps until one arrives or the timeout passes. A permit stored while
+/// nobody sleeps makes the next park return at once, so a wakeup that
+/// races a receiver on its way to sleep is never lost.
+#[derive(Debug, Default)]
+struct Parker {
+    permit: Mutex<bool>,
+    unparked: Condvar,
+}
+
+impl Parker {
+    fn unpark(&self) {
+        *self.permit.lock() = true;
+        self.unparked.notify_one();
+    }
+
+    fn park_timeout(&self, timeout: Duration) {
+        let mut permit = self.permit.lock();
+        if !*permit {
+            self.unparked.wait_for(&mut permit, timeout);
+        }
+        *permit = false;
+    }
+}
+
+/// A consumer's parker together with the end-point waker that unparks
+/// it, kept so closing the consumer can unregister the waker.
+struct Registered {
+    parker: Arc<Parker>,
+    waker: Waker,
+}
+
+impl std::fmt::Debug for Registered {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registered")
+            .field("parker", &self.parker)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BrokerConsumer {
@@ -476,6 +529,24 @@ impl BrokerConsumer {
         }
         self.session.check_open()
     }
+
+    /// Takes up to `max` deliverable messages without blocking and
+    /// records them for acknowledgement.
+    fn take(&self, max: usize) -> Result<Vec<Arc<Message>>, Error> {
+        let batch = self.endpoint.try_receive_batch(
+            self.session.core.config().clock.as_ref(),
+            self.session.id,
+            self.session.track_mode(),
+            self.queue_selector.as_ref(),
+            max,
+            &|| self.started(),
+            &|| self.alive(),
+        )?;
+        for message in &batch {
+            self.session.record_delivery(&self.endpoint, message);
+        }
+        Ok(batch)
+    }
 }
 
 impl Consumer for BrokerConsumer {
@@ -491,38 +562,49 @@ impl Consumer for BrokerConsumer {
         self.selector_text.as_deref()
     }
 
+    /// Takes one message; if none is deliverable, parks until a waker
+    /// fires, the next visibility edge, the deadline or the liveness
+    /// slice, whichever comes first, and tries again. A zero-timeout
+    /// poll never parks and registers nothing.
     fn receive(&mut self, timeout: Option<Duration>) -> Result<Option<Message>, Error> {
-        let received = self.endpoint.receive(
-            self.session.core.config().clock.as_ref(),
-            timeout,
-            self.session.id,
-            self.session.track_mode(),
-            self.queue_selector.as_ref(),
-            &|| self.started(),
-            &|| self.alive(),
-        )?;
-        Ok(received.map(|message| {
-            self.session.record_delivery(&self.endpoint, &message);
-            (*message).clone()
-        }))
+        let clock = self.session.core.config().clock.as_ref();
+        let deadline = timeout.map(|t| clock.now().saturating_add(t));
+        loop {
+            if let Some(message) = self.take(1)?.pop() {
+                return Ok(Some((*message).clone()));
+            }
+            let now = clock.now();
+            let mut wait = LIVENESS_SLICE;
+            if let Some(deadline) = deadline {
+                if now >= deadline {
+                    return Ok(None);
+                }
+                wait = wait.min(deadline.saturating_since(now));
+            }
+            let Some(registered) = &self.parker else {
+                // First wait that sleeps: register, then look again so
+                // an insert that came before the waker is not missed.
+                let parker = Arc::new(Parker::default());
+                let unparker = Arc::clone(&parker);
+                let waker: Waker = Arc::new(move || unparker.unpark());
+                self.endpoint.add_waker(Arc::clone(&waker));
+                self.parker = Some(Registered { parker, waker });
+                continue;
+            };
+            if self.started() {
+                if let Some(edge) = self.endpoint.next_visible_at(now) {
+                    wait = wait.min(edge.saturating_since(now));
+                }
+            }
+            registered.parker.park_timeout(wait);
+        }
     }
 
     fn try_receive_batch(&mut self, max: usize) -> Result<Vec<Message>, Error> {
-        let batch = self.endpoint.try_receive_batch(
-            self.session.core.config().clock.as_ref(),
-            self.session.id,
-            self.session.track_mode(),
-            self.queue_selector.as_ref(),
-            max,
-            &|| self.started(),
-            &|| self.alive(),
-        )?;
-        Ok(batch
+        Ok(self
+            .take(max)?
             .into_iter()
-            .map(|message| {
-                self.session.record_delivery(&self.endpoint, &message);
-                (*message).clone()
-            })
+            .map(|message| (*message).clone())
             .collect())
     }
 
@@ -548,6 +630,9 @@ impl Consumer for BrokerConsumer {
     fn close(&mut self) -> Result<(), Error> {
         if self.closed.swap(true, Ordering::SeqCst) {
             return Ok(());
+        }
+        if let Some(registered) = self.parker.take() {
+            self.endpoint.remove_waker(&registered.waker);
         }
         match &self.kind {
             ConsumerKind::Queue => {}

@@ -87,7 +87,16 @@
 //! keys tune it: `arrival_rate = 5000` overrides the aggregate rate in
 //! messages per second (split across the virtual clients; steady/poisson
 //! profiles only), and `clients = 100` sets how many virtual clients each
-//! producer expands into. Both companion keys require `open_loop = on`.
+//! producer expands into. The companion keys parse without `open_loop`,
+//! but the closed-loop drivers ignore them and the lint warns
+//! (`open-loop-keys-ignored`).
+//!
+//! Every on/off key (`retry`, `fail_fast`, `open_loop`, `share`,
+//! `resume` and the `[faults]` defect switches) accepts `on`/`true`/`yes`
+//! and `off`/`false`/`no`. Every duration accepts a number (decimals
+//! allowed) and a unit: `ns`, `us`/`µs`, `ms`, `s` or `m`/`min`. The
+//! `[test]`, `[crash]`, `[faults]`, `[transport]` and `[properties]`
+//! sections may each appear at most once.
 //!
 //! `shards = 8` pins the number of destination shards the provider under
 //! test partitions its destinations across, making shard count a
@@ -116,6 +125,7 @@ use jmst_api::body::BodyKind;
 use jmst_api::destination::Destination;
 use jmst_api::modes::{DeliveryMode, Priority, SessionMode, TimeToLive};
 use jmst_api::value::Value;
+use jmst_props::parse_duration;
 use jmst_sim::ArrivalProcess;
 use std::fmt;
 use std::time::Duration;
@@ -154,24 +164,14 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Parses a duration like `250ms`, `1s`, `2m`, `500us`.
-pub fn parse_duration(text: &str) -> Result<Duration, String> {
-    let text = text.trim();
-    let split = text
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .ok_or_else(|| format!("missing unit in duration {text:?}"))?;
-    let (value, unit) = text.split_at(split);
-    let value: f64 = value
-        .parse()
-        .map_err(|_| format!("malformed duration {text:?}"))?;
-    let seconds = match unit.trim() {
-        "us" | "µs" => value / 1e6,
-        "ms" => value / 1e3,
-        "s" => value,
-        "m" | "min" => value * 60.0,
-        other => return Err(format!("unknown duration unit {other:?}")),
-    };
-    Duration::try_from_secs_f64(seconds).map_err(|_| format!("duration {text:?} is out of range"))
+/// Parses an on/off switch: `on`, `true` or `yes`; `off`, `false` or
+/// `no`. Every boolean key of the format goes through here.
+fn parse_switch(key: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "on" | "true" | "yes" => Ok(true),
+        "off" | "false" | "no" => Ok(false),
+        other => Err(format!("{key} must be on/off, got {other:?}")),
+    }
 }
 
 fn parse_destination(text: &str) -> Result<Destination, String> {
@@ -286,6 +286,9 @@ fn parse_prop(text: &str) -> Result<(String, Value), String> {
     Ok((name.to_owned(), value))
 }
 
+/// Sections that may appear at most once per scenario file.
+const SINGLETON_SECTIONS: [&str; 5] = ["test", "crash", "faults", "transport", "properties"];
+
 #[derive(Debug, PartialEq)]
 enum Section {
     Test,
@@ -313,6 +316,8 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
     let mut consumer: Option<ConsumerSpec> = None;
     let mut crash: Option<CrashPlan> = None;
     let mut faults: Option<FaultPlan> = None;
+    // Singleton section headers seen so far, with their line numbers.
+    let mut seen: Vec<(&str, usize)> = Vec::new();
 
     fn flush(
         nodes: &mut [NodeSpec],
@@ -343,7 +348,19 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
         }
         if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             flush(&mut nodes, &mut producer, &mut consumer, line_no)?;
-            section = match header.trim() {
+            let header = header.trim();
+            // Singleton sections configure one thing each; a second
+            // header would silently reset what the first one set.
+            if SINGLETON_SECTIONS.contains(&header) {
+                if let Some(first) = seen.iter().find(|(name, _)| *name == header) {
+                    return Err(ConfigError::new(
+                        line_no,
+                        format!("duplicate section [{header}] (first at line {})", first.1),
+                    ));
+                }
+                seen.push((header, line_no));
+            }
+            section = match header {
                 "test" => Section::Test,
                 "producer" => {
                     producer = Some(ProducerSpec::steady(Destination::queue("q"), 1.0, 128));
@@ -400,25 +417,17 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
                 spec.drain_quiet = parse_duration(value).map_err(err)?
             }
             (Section::Test, "retry") => {
-                spec.retry = match value {
-                    "on" | "true" | "yes" => crate::retry::RetryPolicy::default(),
-                    "off" | "false" | "no" => crate::retry::RetryPolicy::disabled(),
-                    other => return Err(err(format!("retry must be on/off, got {other:?}"))),
+                spec.retry = if parse_switch(key, value).map_err(err)? {
+                    crate::retry::RetryPolicy::default()
+                } else {
+                    crate::retry::RetryPolicy::disabled()
                 };
             }
             (Section::Test, "fail_fast") => {
-                spec.fail_fast = match value {
-                    "on" | "true" | "yes" => true,
-                    "off" | "false" | "no" => false,
-                    other => return Err(err(format!("fail_fast must be on/off, got {other:?}"))),
-                };
+                spec.fail_fast = parse_switch(key, value).map_err(err)?
             }
             (Section::Test, "open_loop") => {
-                spec.open_loop = match value {
-                    "on" | "true" | "yes" => true,
-                    "off" | "false" | "no" => false,
-                    other => return Err(err(format!("open_loop must be on/off, got {other:?}"))),
-                };
+                spec.open_loop = parse_switch(key, value).map_err(err)?
             }
             (Section::Test, "arrival_rate") => {
                 let rate: f64 = value
@@ -453,11 +462,8 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
                 spec.queue_bound = Some(bound);
             }
             (Section::Node(_), "share") => {
-                nodes.last_mut().expect("inside a node").share_connection = match value {
-                    "true" | "yes" => true,
-                    "false" | "no" => false,
-                    other => return Err(err(format!("share must be true/false, got {other:?}"))),
-                };
+                nodes.last_mut().expect("inside a node").share_connection =
+                    parse_switch(key, value).map_err(err)?;
             }
             (Section::Node(_), "clock_skew") => {
                 let negative = value.starts_with('-');
@@ -500,8 +506,9 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
                     "transacted" => {
                         p.transacted_batch = Some(
                             value
-                                .parse()
-                                .map_err(|_| err(format!("bad batch {value:?}")))?,
+                                .parse::<u32>()
+                                .map_err(|_| err(format!("bad batch {value:?}")))?
+                                .max(1),
                         )
                     }
                     "limit" => {
@@ -612,13 +619,7 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
                         )
                     }
                     "ignore_expiry" | "ignore_priority" | "lose_persistent_on_crash" => {
-                        let flag = match value {
-                            "true" | "yes" | "on" => true,
-                            "false" | "no" | "off" => false,
-                            other => {
-                                return Err(err(format!("{key} must be true/false, got {other:?}")))
-                            }
-                        };
+                        let flag = parse_switch(key, value).map_err(err)?;
                         match key {
                             "ignore_expiry" => plan.ignore_expiry = flag,
                             "ignore_priority" => plan.ignore_priority = flag,
@@ -650,11 +651,7 @@ pub fn parse_spec(text: &str) -> Result<TestSpec, ConfigError> {
                 spec.transport.journal = Some(value.to_owned());
             }
             (Section::Transport, "resume") => {
-                spec.transport.resume = match value {
-                    "on" | "true" | "yes" => true,
-                    "off" | "false" | "no" => false,
-                    other => return Err(err(format!("resume must be on/off, got {other:?}"))),
-                };
+                spec.transport.resume = parse_switch(key, value).map_err(err)?;
             }
             (Section::Transport, other) => {
                 return Err(err(format!("unknown transport key {other:?}")));
@@ -1032,10 +1029,100 @@ down = 80ms
         assert_eq!(parse_duration("1.5s").unwrap(), Duration::from_millis(1500));
         assert_eq!(parse_duration("3m").unwrap(), Duration::from_secs(180));
         assert_eq!(parse_duration("500us").unwrap(), Duration::from_micros(500));
+        assert_eq!(parse_duration("500ns").unwrap(), Duration::from_nanos(500));
+        assert_eq!(parse_duration("2min").unwrap(), Duration::from_secs(120));
         assert!(parse_duration("10").is_err());
         assert!(parse_duration("10h").is_err());
         assert!(parse_duration("fast").is_err());
         assert!(parse_duration("99999999999999999999999s").is_err());
+    }
+
+    #[test]
+    fn repeated_singleton_sections_are_rejected_with_both_lines() {
+        let base = "[test]\nname = r\n[node n]\n[consumer]\ndestination = queue:q\n";
+        // A second [faults] would otherwise reset `drop = 0.5` to zero.
+        let text = format!("{base}[faults]\ndrop = 0.5\n[faults]\nseed = 3\n");
+        let error = parse_spec(&text).unwrap_err();
+        assert_eq!(error.line(), 8);
+        assert!(
+            error.message().contains("duplicate section [faults]"),
+            "{error}"
+        );
+        assert!(error.message().contains("line 6"), "{error}");
+        for section in ["test", "crash", "transport", "properties"] {
+            let text = format!("{base}[{section}]\n[{section}]\n");
+            let error = parse_spec(&text).unwrap_err();
+            assert!(
+                error
+                    .message()
+                    .contains(&format!("duplicate section [{section}]")),
+                "{error}"
+            );
+        }
+        // Repeatable sections stay repeatable.
+        let text = format!("{base}[node m]\n[producer]\ndestination = queue:q\n[producer]\n");
+        assert!(parse_spec(&text).is_ok());
+    }
+
+    #[test]
+    fn every_switch_takes_the_same_on_off_grammar() {
+        let text =
+            "[test]\nname = s\nretry = RETRY\nfail_fast = SWITCH\n[node n]\nshare = SWITCH\n\
+                    [consumer]\ndestination = queue:q\n\
+                    [faults]\nignore_expiry = SWITCH\nignore_priority = SWITCH\n\
+                    lose_persistent_on_crash = SWITCH\n[transport]\nresume = SWITCH\n";
+        for (word, on) in [
+            ("on", true),
+            ("true", true),
+            ("yes", true),
+            ("off", false),
+            ("false", false),
+            ("no", false),
+        ] {
+            let spec = parse_spec(&text.replace("SWITCH", word).replace("RETRY", word)).unwrap();
+            assert_eq!(spec.fail_fast, on, "{word}");
+            assert_eq!(spec.nodes[0].share_connection, on, "{word}");
+            assert_eq!(spec.retry.is_disabled(), !on, "{word}");
+            assert_eq!(spec.transport.resume, on, "{word}");
+            let plan = spec.faults.unwrap();
+            assert_eq!(plan.ignore_expiry, on, "{word}");
+            assert_eq!(plan.ignore_priority, on, "{word}");
+            assert_eq!(plan.lose_persistent_on_crash, on, "{word}");
+        }
+        let open =
+            "[test]\nname = o\nopen_loop = yes\n[node n]\n[consumer]\ndestination = queue:q\n";
+        assert!(parse_spec(open).unwrap().open_loop);
+        let error = parse_spec("[test]\nname = x\n[node n]\nshare = maybe\n").unwrap_err();
+        assert!(error.message().contains("share must be on/off"), "{error}");
+    }
+
+    #[test]
+    fn scenario_durations_share_the_property_grammar() {
+        let text = "[test]\nname = d\nrun = 1.5s\nwarm_down = 2min\n[node n]\n\
+                    [consumer]\ndestination = queue:q\nthink = 500ns\n\
+                    [properties]\nlate = deadline 1.5s\nslow = deadline 2min\n";
+        let spec = parse_spec(text).unwrap();
+        assert_eq!(spec.run, Duration::from_millis(1500));
+        assert_eq!(spec.warm_down, Duration::from_secs(120));
+        assert_eq!(
+            spec.nodes[0].consumers[0].think_time,
+            Duration::from_nanos(500)
+        );
+        assert_eq!(spec.properties.len(), 2);
+    }
+
+    #[test]
+    fn zero_transacted_batch_parses_as_one_like_the_builder() {
+        let text = "[test]\nname = t\n[node n]\n[producer]\ndestination = queue:q\n\
+                    rate = steady 10\ntransacted = 0\n[consumer]\ndestination = queue:q\n";
+        let spec = parse_spec(text).unwrap();
+        assert_eq!(spec.nodes[0].producers[0].transacted_batch, Some(1));
+        assert_eq!(
+            spec.nodes[0].producers[0].transacted_batch,
+            ProducerSpec::steady(Destination::queue("q"), 10.0, 128)
+                .transacted(0)
+                .transacted_batch
+        );
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! `parse_spec(&text)` returns a spec equal to `s`. The property test in
 //! `tests/spec_roundtrip.rs` pins this over arbitrary generated specs.
 
-use crate::config_text::parse_duration;
 use crate::retry::RetryPolicy;
 use crate::spec::{ConsumerSpec, FaultPlan, NodeSpec, ProducerSpec, Subscription, TestSpec};
 use jmst_api::body::BodyKind;
 use jmst_api::modes::{DeliveryMode, SessionMode};
 use jmst_api::value::Value;
+use jmst_props::parse_duration;
 use jmst_sim::ArrivalProcess;
 use std::fmt;
 use std::fmt::Write as _;
@@ -201,13 +201,26 @@ fn write_producer(out: &mut String, p: &ProducerSpec) -> Result<()> {
         let _ = writeln!(out, "ttl = {}ms", p.time_to_live.as_millis());
     }
     if let Some(batch) = p.transacted_batch {
+        if batch == 0 {
+            return Err(SerializeError::new(
+                "transacted batch 0 has no text form (it parses as 1)",
+            ));
+        }
         let _ = writeln!(out, "transacted = {batch}");
     }
     if let Some(limit) = p.message_limit {
         let _ = writeln!(out, "limit = {limit}");
     }
-    if p.send_batch != 1 {
-        let _ = writeln!(out, "batch = {}", p.send_batch);
+    match p.send_batch {
+        0 => {
+            return Err(SerializeError::new(
+                "send batch 0 has no text form (it parses as 1)",
+            ))
+        }
+        1 => {}
+        batch => {
+            let _ = writeln!(out, "batch = {batch}");
+        }
     }
     for (name, value) in &p.properties {
         check_text("property name", name)?;
@@ -663,6 +676,15 @@ mod tests {
         let mut spec = base();
         spec.nodes[0].consumers[0].batch = 5;
         assert!(serialize_spec(&spec).is_err());
+        // Zero send batch and zero transacted batch: both parse as 1.
+        let mut spec = base();
+        spec.nodes[0].producers[0].send_batch = 0;
+        let error = serialize_spec(&spec).unwrap_err();
+        assert!(error.message().contains("send batch 0"), "{error}");
+        let mut spec = base();
+        spec.nodes[0].producers[0].transacted_batch = Some(0);
+        let error = serialize_spec(&spec).unwrap_err();
+        assert!(error.message().contains("transacted batch 0"), "{error}");
         // Comment character in free text.
         let mut spec = base();
         spec.name = "a # b".into();

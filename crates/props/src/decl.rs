@@ -480,34 +480,46 @@ fn parse_bound_f64(text: &str, what: &str) -> Result<f64, String> {
     Ok(value)
 }
 
-/// Parses a duration with a `ns`/`us`/`µs`/`ms`/`s`/`m` suffix (the same
-/// units scenario files use).
+/// Parses a duration: a non-negative number and a unit suffix, `ns`,
+/// `us`/`µs`, `ms`, `s` or `m`/`min`, optionally separated by spaces
+/// (`500ns`, `250ms`, `1.5s`, `2min`). This is the one duration grammar
+/// of scenario files and property declarations. Whole numbers convert
+/// exactly; decimals convert through `f64` seconds.
 pub fn parse_duration(text: &str) -> Result<Duration, String> {
-    let (digits, scale_nanos) = if let Some(d) = text.strip_suffix("ns") {
-        (d, 1u64)
-    } else if let Some(d) = text.strip_suffix("us") {
-        (d, 1_000)
-    } else if let Some(d) = text.strip_suffix("µs") {
-        (d, 1_000)
-    } else if let Some(d) = text.strip_suffix("ms") {
-        (d, 1_000_000)
-    } else if let Some(d) = text.strip_suffix('s') {
-        (d, 1_000_000_000)
-    } else if let Some(d) = text.strip_suffix('m') {
-        (d, 60_000_000_000)
-    } else {
-        return Err(format!(
-            "duration '{text}' needs a unit suffix (ns/us/ms/s/m)"
-        ));
+    let text = text.trim();
+    let split = text
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(text.len());
+    let (number, unit) = text.split_at(split);
+    let nanos_per_unit: u64 = match unit.trim() {
+        "ns" => 1,
+        "us" | "µs" => 1_000,
+        "ms" => 1_000_000,
+        "s" => 1_000_000_000,
+        "m" | "min" => 60_000_000_000,
+        _ => {
+            return Err(format!(
+                "duration '{text}' needs a unit suffix (ns/us/ms/s/m/min)"
+            ))
+        }
     };
-    let value: u64 = digits
-        .trim()
+    if let Ok(whole) = number.parse::<u64>() {
+        return whole
+            .checked_mul(nanos_per_unit)
+            .map(Duration::from_nanos)
+            .ok_or_else(|| format!("duration '{text}' overflows"));
+    }
+    let value: f64 = number
         .parse()
         .map_err(|_| format!("invalid duration '{text}'"))?;
-    value
-        .checked_mul(scale_nanos)
-        .map(Duration::from_nanos)
-        .ok_or_else(|| format!("duration '{text}' overflows"))
+    // Scale by an exact power of ten (or sixty), so decimal values stay
+    // bit-identical to the seconds arithmetic scenario files always used.
+    let seconds = if nanos_per_unit < 1_000_000_000 {
+        value / (1_000_000_000 / nanos_per_unit) as f64
+    } else {
+        value * (nanos_per_unit / 1_000_000_000) as f64
+    };
+    Duration::try_from_secs_f64(seconds).map_err(|_| format!("duration '{text}' overflows"))
 }
 
 /// Renders a duration with the largest exact unit (inverse of
@@ -609,5 +621,37 @@ poison = redelivery <= 2
         }
         assert!(parse_duration("100").is_err());
         assert!(parse_duration("ms").is_err());
+    }
+
+    #[test]
+    fn duration_grammar_accepts_decimals_min_and_every_unit() {
+        let cases = [
+            ("500ns", Duration::from_nanos(500)),
+            ("500us", Duration::from_micros(500)),
+            ("500µs", Duration::from_micros(500)),
+            ("250ms", Duration::from_millis(250)),
+            ("1.5s", Duration::from_millis(1500)),
+            ("0.25ms", Duration::from_micros(250)),
+            ("0.5us", Duration::from_nanos(500)),
+            ("2min", Duration::from_secs(120)),
+            ("3m", Duration::from_secs(180)),
+            ("10 ms", Duration::from_millis(10)),
+            (" 7s ", Duration::from_secs(7)),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(parse_duration(text), Ok(expected), "{text}");
+        }
+        for bad in [
+            "10",
+            "10h",
+            "fast",
+            "-5ms",
+            "1.2.3s",
+            "99999999999999999999999s",
+        ] {
+            assert!(parse_duration(bad).is_err(), "{bad}");
+        }
+        let error = parse_duration("soon").unwrap_err();
+        assert!(error.contains("unit suffix"), "{error}");
     }
 }
