@@ -177,7 +177,7 @@ mod tests {
         for _ in 0..n {
             node.record(EventKind::PhaseStarted { phase: Phase::Run });
         }
-        recorder.snapshot().events().to_vec()
+        recorder.into_trace().into_events()
     }
 
     fn verdict(status: &str) -> VerdictRecord {

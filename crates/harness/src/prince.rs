@@ -8,6 +8,7 @@ use crate::spec::TestSpec;
 use jmst_api::provider::Provider;
 use jmst_core::{AnalysisReport, Analyzer};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -279,6 +280,11 @@ impl DaemonPrince {
     /// trace events (in canonical order). The multi-process prince
     /// ([`ProcessPrince`](crate::princed::ProcessPrince)) journals these
     /// when a thread-mode test rides in a journalled campaign.
+    ///
+    /// The events are the live watcher's, moved out: the recorder hands
+    /// each one to the watcher's stream and keeps no copy, so they are
+    /// also what the verdict, the fallback replay and the persisted trace
+    /// are computed from.
     pub fn run_test_collected(
         &self,
         factory: &ProviderFactory<'_>,
@@ -306,32 +312,27 @@ impl DaemonPrince {
         // DSL properties from the spec's `[properties]` section compile
         // onto the same streaming core as the built-ins: the watcher sees
         // their live violations (so fail_fast covers them) and the
-        // fallback replay paths re-check them identically.
+        // fallback replay re-checks them identically.
         let analyzer = self
             .analyzer
             .clone()
             .with_registry(jmst_props::compile_registry(&spec.properties));
         let watcher = {
-            let mut analyzer = analyzer.streaming();
+            let analyzer = analyzer.clone();
             let cancel = Arc::clone(&cancel);
             let fail_fast = spec.fail_fast;
             let name = spec.name.clone();
             std::thread::spawn(move || {
-                let mut surfaced = 0;
-                for event in stream {
-                    analyzer.observe(&event);
-                    let live = analyzer.violations_so_far();
-                    if live > surfaced {
-                        surfaced = live;
-                        eprintln!("[jmst-prince] {name}: {live} violation(s) live");
-                        if fail_fast {
-                            cancel.store(true, Ordering::SeqCst);
-                        }
+                watch(stream, &analyzer, |live| {
+                    eprintln!("[jmst-prince] {name}: {live} violation(s) live");
+                    if fail_fast {
+                        cancel.store(true, Ordering::SeqCst);
                     }
-                }
-                analyzer.finish()
+                })
             })
         };
+        // The sink is the recorder's only destination: the watcher's
+        // trace is the one copy of the run's events.
         let run = self.runner.run_observed(
             provider,
             admin,
@@ -339,50 +340,39 @@ impl DaemonPrince {
             Some(Box::new(sink)),
             Some(Arc::clone(&cancel)),
         );
-        // The runner closed its sinks on the way out, so the stream has
-        // terminated and the watcher's report is (or will shortly be)
-        // complete.
-        let streamed = watcher.join();
-        let (outcome, events) = match run {
-            Ok(trace) => {
-                self.persist(&spec.name, &trace);
-                let report = match streamed {
-                    Ok(report) => report,
-                    // A poisoned watcher must not lose the verdict: fall
-                    // back to replaying the recorded trace.
-                    Err(_) => analyzer.analyze(&trace),
-                };
-                let outcome = if report.passed() {
-                    TestOutcome::Passed(report)
-                } else {
-                    TestOutcome::Violated(report)
-                };
-                (outcome, trace.events().to_vec())
+        // The runner closed its sink on the way out, so the stream has
+        // terminated and the watcher is (or will shortly be) done.
+        let Ok((report, trace)) = watcher.join() else {
+            // Only a panic in the fallback replay gets here; the live
+            // checkers run under catch_unwind.
+            let outcome = TestOutcome::Inconclusive {
+                reason: "the analysis panicked on replay".to_owned(),
+                report: analyzer.analyze(&jmst_store::Trace::new()),
+            };
+            return (
+                TestResult {
+                    name: spec.name.clone(),
+                    outcome,
+                    wall_time: started.elapsed(),
+                },
+                Vec::new(),
+            );
+        };
+        let outcome = match run {
+            Ok(_) if report.passed() => TestOutcome::Passed(report),
+            Ok(_) => TestOutcome::Violated(report),
+            Err(HarnessError::TestHung { stage, .. }) => TestOutcome::Hung { stage, report },
+            Err(HarnessError::Inconclusive { reason, .. }) => {
+                TestOutcome::Inconclusive { reason, report }
             }
-            Err(HarnessError::TestHung {
-                stage,
-                partial_trace,
-            }) => {
-                self.persist(&spec.name, &partial_trace);
-                let outcome = TestOutcome::Hung {
-                    stage,
-                    report: analyzer.analyze(&partial_trace),
-                };
-                (outcome, partial_trace.events().to_vec())
-            }
-            Err(HarnessError::Inconclusive {
-                reason,
-                partial_trace,
-            }) => {
-                self.persist(&spec.name, &partial_trace);
-                let outcome = TestOutcome::Inconclusive {
-                    reason,
-                    report: analyzer.analyze(&partial_trace),
-                };
-                (outcome, partial_trace.events().to_vec())
-            }
-            Err(HarnessError::InvalidSpec(reason)) => (TestOutcome::Invalid(reason), Vec::new()),
-            Err(other) => (TestOutcome::Invalid(other.to_string()), Vec::new()),
+            Err(HarnessError::InvalidSpec(reason)) => TestOutcome::Invalid(reason),
+            Err(other) => TestOutcome::Invalid(other.to_string()),
+        };
+        let events = if matches!(outcome, TestOutcome::Invalid(_)) {
+            Vec::new()
+        } else {
+            self.persist(&spec.name, &trace);
+            trace.into_events()
         };
         (
             TestResult {
@@ -407,6 +397,47 @@ impl DaemonPrince {
         }
         report
     }
+}
+
+/// The live watcher's loop. Each event of `stream` is observed by a
+/// streaming pass of `analyzer` and then kept, so the returned trace
+/// holds the run's events — the only copy of them. `on_live` hears the
+/// live violation count each time it grows.
+///
+/// A panicking checker must not lose the verdict: the live pass stops,
+/// the stream is still drained to the end (the recorder would otherwise
+/// block on the bounded channel and hang the run), and the verdict is a
+/// replay of the collected trace.
+fn watch(
+    stream: impl Iterator<Item = jmst_store::Event>,
+    analyzer: &Analyzer,
+    mut on_live: impl FnMut(usize),
+) -> (AnalysisReport, jmst_store::Trace) {
+    let mut checking = Some(analyzer.streaming());
+    let mut surfaced = 0;
+    let mut events = Vec::new();
+    for event in stream {
+        if let Some(live) = &mut checking {
+            let observed = catch_unwind(AssertUnwindSafe(|| {
+                live.observe(&event);
+                live.violations_so_far()
+            }));
+            match observed {
+                Ok(count) if count > surfaced => {
+                    surfaced = count;
+                    on_live(count);
+                }
+                Ok(_) => {}
+                Err(_) => checking = None,
+            }
+        }
+        events.push(event);
+    }
+    let trace = jmst_store::Trace::from_events(events);
+    let report = checking
+        .and_then(|live| catch_unwind(AssertUnwindSafe(|| live.finish())).ok())
+        .unwrap_or_else(|| analyzer.analyze(&trace));
+    (report, trace)
 }
 
 #[cfg(test)]
@@ -603,6 +634,65 @@ mod tests {
             }
             other => panic!("expected Violated, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_panicking_checker_keeps_the_trace_and_the_verdict() {
+        use jmst_core::{CheckerRegistry, PropertyChecker, Violation};
+        use std::sync::atomic::AtomicUsize;
+
+        /// Panics on its 100th event, once per test: the replay that
+        /// follows must get through.
+        #[derive(Debug)]
+        struct PanicsOnce {
+            seen: usize,
+            armed: Arc<AtomicBool>,
+        }
+        impl PropertyChecker for PanicsOnce {
+            fn observe(&mut self, _event: &jmst_store::Event) {
+                self.seen += 1;
+                if self.seen == 100 && self.armed.swap(false, Ordering::SeqCst) {
+                    panic!("checker bug on the 100th event");
+                }
+            }
+            fn finish(self: Box<Self>) -> Vec<Violation> {
+                Vec::new()
+            }
+        }
+
+        let busy = TestSpec::new("watched")
+            .with_periods(
+                Duration::from_millis(20),
+                Duration::from_millis(150),
+                Duration::from_secs(2),
+            )
+            .node(
+                NodeSpec::new("n0")
+                    .producer(ProducerSpec::steady(Destination::queue("q"), 2_000.0, 64))
+                    .consumer(ConsumerSpec::auto(Destination::queue("q"))),
+            );
+        let trace = ThreadedRunner::new()
+            .run(Arc::new(ReferenceBroker::new()), None, &busy)
+            .expect("run");
+        assert!(trace.len() > 100, "{} events", trace.len());
+        let armed = Arc::new(AtomicBool::new(true));
+        let mut registry = CheckerRegistry::new();
+        let flag = Arc::clone(&armed);
+        registry.register("panics-once", move || {
+            Box::new(PanicsOnce {
+                seen: 0,
+                armed: Arc::clone(&flag),
+            })
+        });
+        let analyzer = Analyzer::new().with_registry(registry);
+        let surfaced = AtomicUsize::new(0);
+        let (report, watched) = watch(trace.clone().into_iter(), &analyzer, |live| {
+            surfaced.store(live, Ordering::SeqCst);
+        });
+        assert!(!armed.load(Ordering::SeqCst), "the checker never panicked");
+        assert_eq!(watched, trace, "the watcher lost or reordered events");
+        assert_eq!(report, analyzer.analyze(&trace));
+        assert!(report.passed());
     }
 
     #[test]

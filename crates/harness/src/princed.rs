@@ -41,7 +41,7 @@ use jmst_api::provider::Provider;
 use jmst_core::replay::{partition_journal, replay_events, ReplayedTest};
 use jmst_core::Analyzer;
 use jmst_store::journal::{
-    schedule_digest, Journal, JournalKey, JournalRecord, JournalWriter, VerdictRecord,
+    schedule_digest, Journal, JournalError, JournalKey, JournalRecord, JournalWriter, VerdictRecord,
 };
 use jmst_store::{Event, Trace};
 use std::io::BufReader;
@@ -370,13 +370,7 @@ impl ProcessPrince {
         // crash would take the journal writer down anyway); process mode
         // journals live, event by event.
         for event in &events {
-            journal_append(
-                journal,
-                &JournalRecord::Event {
-                    index,
-                    event: event.clone(),
-                },
-            );
+            journal_append_event(journal, index, event);
         }
         journal_append(
             journal,
@@ -635,13 +629,7 @@ impl ProcessPrince {
         let terminal = loop {
             match proto::read_frame(&mut reader) {
                 Ok(Some(WireMessage::Event { event })) => {
-                    journal_append(
-                        journal,
-                        &JournalRecord::Event {
-                            index,
-                            event: event.clone(),
-                        },
-                    );
+                    journal_append_event(journal, index, &event);
                     streaming.observe(&event);
                     events.push(event);
                     let live = streaming.violations_so_far();
@@ -810,8 +798,21 @@ enum AttemptResult {
 /// Appends one record, disabling the journal (loudly) on I/O failure —
 /// a full disk must not abort a campaign that can still report live.
 fn journal_append(journal: &mut Option<JournalWriter>, record: &JournalRecord) {
+    journal_write(journal, |writer| writer.append(record));
+}
+
+/// Journals one event of test `index` — encoded from the borrow, and not
+/// at all when no journal is open.
+fn journal_append_event(journal: &mut Option<JournalWriter>, index: usize, event: &Event) {
+    journal_write(journal, |writer| writer.append_event(index, event));
+}
+
+fn journal_write(
+    journal: &mut Option<JournalWriter>,
+    write: impl FnOnce(&mut JournalWriter) -> Result<(), JournalError>,
+) {
     if let Some(writer) = journal {
-        if let Err(e) = writer.append(record) {
+        if let Err(e) = write(writer) {
             eprintln!("[jmst-princed] journal write failed: {e}; journalling disabled");
             *journal = None;
         }
@@ -936,6 +937,8 @@ pub fn worker_main(socket: &Path) -> i32 {
 fn run_worker_test(spec: &TestSpec, writer: &Arc<Mutex<UnixStream>>, cancel: Arc<AtomicBool>) {
     let (provider, admin) = spec_factory(spec);
     let runner = ThreadedRunner::new();
+    // The sink is the recorder's only destination: each event is framed
+    // onto the socket and dropped, and the runner keeps no trace.
     let sink = WireSink::new(Arc::clone(writer));
     let result = runner.run_observed(provider, admin, spec, Some(Box::new(sink)), Some(cancel));
     let outcome = match result {

@@ -354,13 +354,13 @@ impl<W: Write + Send> WireSink<W> {
 }
 
 impl<W: Write + Send> EventSink for WireSink<W> {
-    fn accept(&mut self, event: &Event) {
-        // Encoded outside the lock, straight from the borrowed event.
+    fn accept(&mut self, event: Event) {
+        // Encoded outside the lock, straight from the event.
         self.frame.clear();
         self.frame.resize(FRAME_HEADER_LEN, 0);
         let mut w = Writer(&mut self.frame);
         w.u8(EVENT);
-        w.event(event);
+        w.event(&event);
         if let Ok(mut stream) = self.stream.lock() {
             let _ = send_frame(&mut *stream, &mut self.frame);
         }

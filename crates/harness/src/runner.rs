@@ -100,10 +100,12 @@ impl ThreadedRunner {
     /// Runs `spec` like [`run`](ThreadedRunner::run), additionally tapping
     /// the event log live and honouring an external cancellation flag.
     ///
-    /// `sink` is attached to the recorder before any driver starts, sees
+    /// `sink` is attached to the recorder before any driver starts, takes
     /// every event in logging order, and is closed on every exit path —
     /// attach a [`ChannelSink`](jmst_store::ChannelSink) and the paired
-    /// stream terminates as soon as the run is over. Raising `cancel`
+    /// stream terminates as soon as the run is over. With a sink the
+    /// runner keeps no copy of the events: the returned trace, and the
+    /// partial trace inside an error, are empty. Raising `cancel`
     /// (e.g. from the daemon prince's fail-fast watcher) ends the warm-up
     /// or run phase early: producers stop, consumers drain, and the
     /// partial trace is returned normally.
@@ -337,7 +339,7 @@ impl ThreadedRunner {
             shared.abort.store(true, Ordering::SeqCst);
             return Err(HarnessError::TestHung {
                 stage: "producers",
-                partial_trace: Box::new(recorder.snapshot()),
+                partial_trace: Box::new(recorder.into_trace()),
             });
         }
         if !producers_on_reactor {
@@ -351,7 +353,7 @@ impl ThreadedRunner {
             shared.abort.store(true, Ordering::SeqCst);
             return Err(HarnessError::TestHung {
                 stage: "consumers",
-                partial_trace: Box::new(recorder.snapshot()),
+                partial_trace: Box::new(recorder.into_trace()),
             });
         }
         if let Some(handle) = crash_handle {
@@ -370,7 +372,7 @@ impl ThreadedRunner {
         if let Some(reason) = shared.gave_up() {
             return Err(HarnessError::Inconclusive {
                 reason,
-                partial_trace: Box::new(recorder.snapshot()),
+                partial_trace: Box::new(recorder.into_trace()),
             });
         }
         Ok(recorder.into_trace())

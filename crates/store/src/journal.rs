@@ -381,6 +381,15 @@ pub enum JournalRecord {
     },
 }
 
+/// Appends the payload of a [`JournalRecord::Event`] from borrowed parts,
+/// so [`JournalWriter::append_event`] need not build the record.
+fn encode_event_record(index: usize, event: &Event, out: &mut Vec<u8>) {
+    let mut w = Writer(out);
+    w.u8(2);
+    w.uint(index as u64);
+    w.event(event);
+}
+
 impl JournalRecord {
     /// Appends the record's payload encoding: a kind tag, then the
     /// fields in declaration order.
@@ -410,11 +419,7 @@ impl JournalRecord {
                 w.str(name);
                 w.uint(u64::from(*attempt));
             }
-            JournalRecord::Event { index, event } => {
-                w.u8(2);
-                w.uint(*index as u64);
-                w.event(event);
-            }
+            JournalRecord::Event { index, event } => encode_event_record(*index, event, w.0),
             JournalRecord::AttemptAborted {
                 index,
                 attempt,
@@ -639,10 +644,26 @@ impl JournalWriter {
     /// usable); [`JournalError::Io`] if the write fails, after which the
     /// journal should be considered dead.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
+        self.append_payload(|out| record.encode(out))
+    }
+
+    /// Appends `JournalRecord::Event { index, event }` without building
+    /// the record: the frame bytes are those of [`JournalWriter::append`],
+    /// encoded straight from the borrowed event.
+    ///
+    /// # Errors
+    ///
+    /// As for [`JournalWriter::append`].
+    pub fn append_event(&mut self, index: usize, event: &Event) -> Result<(), JournalError> {
+        self.append_payload(|out| encode_event_record(index, event, out))
+    }
+
+    /// Frames the payload `encode` appends: length, CRC, payload, MAC.
+    fn append_payload(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), JournalError> {
         let frame = &mut self.frame;
         frame.clear();
         frame.resize(FRAME_HEADER_LEN, 0);
-        record.encode(frame);
+        encode(frame);
         let payload = &frame[FRAME_HEADER_LEN..];
         let len = u32::try_from(payload.len())
             .ok()
@@ -997,6 +1018,39 @@ mod tests {
         let read = Journal::read(&path, &key).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(read, written);
+    }
+
+    #[test]
+    fn append_event_writes_the_bytes_of_an_event_record() {
+        let key = JournalKey::from_passphrase("k");
+        let events: Vec<Event> = (0..3)
+            .map(|seq| Event {
+                seq,
+                at: jmst_api::time::Timestamp::from_millis(seq * 7),
+                node: jmst_api::id::NodeId::from_raw(seq),
+                kind: crate::event::EventKind::PhaseStarted {
+                    phase: crate::event::Phase::Run,
+                },
+            })
+            .collect();
+        let (via_record, via_event) = (temp_path("via-record"), temp_path("via-event"));
+        let mut a = JournalWriter::create(&via_record, &key).unwrap();
+        let mut b = JournalWriter::create(&via_event, &key).unwrap();
+        for (index, event) in events.iter().enumerate() {
+            a.append(&record(index)).unwrap();
+            b.append(&record(index)).unwrap();
+            a.append(&JournalRecord::Event {
+                index,
+                event: event.clone(),
+            })
+            .unwrap();
+            b.append_event(index, event).unwrap();
+        }
+        drop((a, b));
+        let (a, b) = (std::fs::read(&via_record), std::fs::read(&via_event));
+        std::fs::remove_file(&via_record).ok();
+        std::fs::remove_file(&via_event).ok();
+        assert_eq!(a.unwrap(), b.unwrap());
     }
 
     #[test]

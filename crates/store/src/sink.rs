@@ -2,15 +2,19 @@
 //!
 //! The batch pipeline logs a whole run into a [`Trace`] and analyses it
 //! post hoc; this module is the streaming alternative. A
-//! [`Recorder`](crate::Recorder) forwards every stamped event to its
-//! attached [`EventSink`]s, so the in-memory batch log, a live analyzer
-//! fed through a bounded channel, and the disk/CSV spill formats are all
-//! just different consumers of one emission path:
+//! [`Recorder`](crate::Recorder) moves every stamped event to exactly one
+//! destination: its own in-memory log, or the one [`EventSink`] attached
+//! to it. A live analyzer fed through a bounded channel, a collecting
+//! [`VecSink`], and the disk/CSV spill formats are all sinks; a caller
+//! that wants several of them attaches a [`TeeSink`], the only sink that
+//! copies an event:
 //!
 //! ```text
-//! drivers ──> Recorder ──┬─> VecSink        (the batch Trace)
-//!                        ├─> ChannelSink ─> EventStream ─> ReorderBuffer ─> live checkers
-//!                        └─> JsonlSink / CsvSink  (spill to disk)
+//! drivers ──> Recorder ──> one of:  in-memory log      (no sink: the batch Trace)
+//!                                   ChannelSink ─> EventStream ─> ReorderBuffer ─> live checkers
+//!                                   VecSink / JsonlSink / CsvSink
+//!                                   TeeSink ─┬─> sink 1  (a clone)
+//!                                            └─> sink n  (the original)
 //! ```
 //!
 //! Events are emitted in *logging* order, which can differ from canonical
@@ -33,8 +37,8 @@ use std::sync::Arc;
 /// canonical order) and must never panic on malformed-looking input: a
 /// sink failure should degrade to dropped output, not a failed run.
 pub trait EventSink: Send {
-    /// Offers one recorded event to the sink.
-    fn accept(&mut self, event: &Event);
+    /// Hands one recorded event to the sink, which owns it from now on.
+    fn accept(&mut self, event: Event);
 
     /// Signals that no further events will arrive. Channel-backed sinks
     /// hang up; file-backed sinks flush. The default does nothing.
@@ -79,8 +83,8 @@ impl VecSink {
 }
 
 impl EventSink for VecSink {
-    fn accept(&mut self, event: &Event) {
-        self.events.lock().push(event.clone());
+    fn accept(&mut self, event: Event) {
+        self.events.lock().push(event);
     }
 }
 
@@ -96,9 +100,9 @@ pub struct ChannelSink {
 }
 
 impl EventSink for ChannelSink {
-    fn accept(&mut self, event: &Event) {
+    fn accept(&mut self, event: Event) {
         if let Some(sender) = &self.sender {
-            if sender.send(event.clone()).is_err() {
+            if sender.send(event).is_err() {
                 self.sender = None;
             }
         }
@@ -262,9 +266,9 @@ impl<W: Write + Send> JsonlSink<W> {
 }
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn accept(&mut self, event: &Event) {
+    fn accept(&mut self, event: Event) {
         if let Some(writer) = &mut self.writer {
-            let ok = serde_json::to_writer(&mut *writer, event).is_ok()
+            let ok = serde_json::to_writer(&mut *writer, &event).is_ok()
                 && writer.write_all(b"\n").is_ok();
             if !ok {
                 self.writer = None;
@@ -300,7 +304,7 @@ impl<W: Write + Send> CsvSink<W> {
 }
 
 impl<W: Write + Send> EventSink for CsvSink<W> {
-    fn accept(&mut self, event: &Event) {
+    fn accept(&mut self, event: Event) {
         let Some(writer) = &mut self.writer else {
             return;
         };
@@ -314,7 +318,7 @@ impl<W: Write + Send> EventSink for CsvSink<W> {
                 return;
             }
         }
-        if let Some(line) = crate::csv::event_csv_line(event) {
+        if let Some(line) = crate::csv::event_csv_line(&event) {
             if writer.write_all(line.as_bytes()).is_err() {
                 self.writer = None;
             }
@@ -328,7 +332,8 @@ impl<W: Write + Send> EventSink for CsvSink<W> {
     }
 }
 
-/// An [`EventSink`] that fans each event out to several sinks.
+/// An [`EventSink`] that fans each event out to several sinks: every sink
+/// but the last gets a clone, the last gets the event itself.
 #[derive(Default)]
 pub struct TeeSink {
     sinks: Vec<Box<dyn EventSink>>,
@@ -354,9 +359,12 @@ impl TeeSink {
 }
 
 impl EventSink for TeeSink {
-    fn accept(&mut self, event: &Event) {
-        for sink in &mut self.sinks {
-            sink.accept(event);
+    fn accept(&mut self, event: Event) {
+        if let Some((last, rest)) = self.sinks.split_last_mut() {
+            for sink in rest {
+                sink.accept(event.clone());
+            }
+            last.accept(event);
         }
     }
 
@@ -421,7 +429,7 @@ mod tests {
     fn channel_stream_yields_canonical_order_and_terminates() {
         let (mut sink, stream) = channel(8, 64);
         for e in [event(1, 10), event(0, 5), event(2, 20)] {
-            sink.accept(&e);
+            sink.accept(e);
         }
         sink.close();
         let seqs: Vec<u64> = stream.map(|e| e.seq).collect();
@@ -435,7 +443,7 @@ mod tests {
         // Would deadlock on a blocking send if the hang-up were not
         // detected; must simply drop the events instead.
         for i in 0..8 {
-            sink.accept(&event(i, i));
+            sink.accept(event(i, i));
         }
     }
 
@@ -443,8 +451,8 @@ mod tests {
     fn vec_sink_collects_and_snapshots() {
         let (mut sink, handle) = VecSink::shared();
         assert!(sink.is_empty());
-        sink.accept(&event(1, 10));
-        sink.accept(&event(0, 5));
+        sink.accept(event(1, 10));
+        sink.accept(event(0, 5));
         assert_eq!(sink.len(), 2);
         assert_eq!(handle.lock().len(), 2);
         let seqs: Vec<u64> = sink.trace().iter().map(|e| e.seq).collect();
@@ -456,8 +464,8 @@ mod tests {
         let mut buffer = Vec::new();
         {
             let mut sink = JsonlSink::new(&mut buffer);
-            sink.accept(&event(1, 10));
-            sink.accept(&event(0, 5));
+            sink.accept(event(1, 10));
+            sink.accept(event(0, 5));
             sink.close();
         }
         let trace = crate::disk::read_jsonl(buffer.as_slice()).unwrap();
@@ -470,9 +478,12 @@ mod tests {
         let (a, a_events) = VecSink::shared();
         let (b, b_events) = VecSink::shared();
         let mut tee = TeeSink::new().with(Box::new(a)).with(Box::new(b));
-        tee.accept(&event(0, 1));
+        tee.accept(event(0, 1));
+        tee.accept(event(1, 2));
         tee.close();
-        assert_eq!(a_events.lock().len(), 1);
-        assert_eq!(b_events.lock().len(), 1);
+        assert_eq!(*a_events.lock(), [event(0, 1), event(1, 2)]);
+        assert_eq!(*b_events.lock(), [event(0, 1), event(1, 2)]);
+        // An empty tee swallows events without panicking.
+        TeeSink::new().accept(event(2, 3));
     }
 }

@@ -7,7 +7,6 @@ use jmst_api::time::{Clock, Timestamp};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Two events in one trace carried the same canonical `(at, seq)` key, so
@@ -87,6 +86,11 @@ impl Trace {
     /// The events in canonical order.
     pub fn events(&self) -> &[Event] {
         &self.events
+    }
+
+    /// Moves the events out, in canonical order.
+    pub fn into_events(self) -> Vec<Event> {
+        self.events
     }
 
     /// Number of events.
@@ -175,42 +179,63 @@ impl Extend<Event> for Trace {
     }
 }
 
+/// Where a recorder's events go: to the attached sink when there is one,
+/// otherwise to the in-memory log. One lock guards both and the sequence
+/// counter, so an event is stamped and moved to exactly one destination
+/// in one step, and a sink sees a gap-free run of sequence numbers.
+#[derive(Default)]
+struct Outlet {
+    next_seq: u64,
+    log: Vec<Event>,
+    sink: Option<Box<dyn EventSink>>,
+}
+
 #[derive(Default)]
 struct RecorderShared {
-    events: Mutex<Vec<Event>>,
-    next_seq: AtomicU64,
-    sinks: Mutex<Vec<Box<dyn EventSink>>>,
+    out: Mutex<Outlet>,
 }
 
 impl fmt::Debug for RecorderShared {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let out = self.out.lock();
         f.debug_struct("RecorderShared")
-            .field("events", &self.events.lock().len())
-            .field("next_seq", &self.next_seq.load(Ordering::Relaxed))
-            .field("sinks", &self.sinks.lock().len())
+            .field("events", &out.log.len())
+            .field("next_seq", &out.next_seq)
+            .field("sink", &out.sink.is_some())
             .finish()
     }
 }
 
 impl RecorderShared {
-    fn log(&self, event: Event) {
-        let mut sinks = self.sinks.lock();
-        if !sinks.is_empty() {
-            for sink in sinks.iter_mut() {
-                sink.accept(&event);
-            }
+    fn log(&self, node: NodeId, at: Timestamp, kind: EventKind) {
+        let mut guard = self.out.lock();
+        let out = &mut *guard;
+        let event = Event {
+            seq: out.next_seq,
+            at,
+            node,
+            kind,
+        };
+        out.next_seq += 1;
+        match &mut out.sink {
+            Some(sink) => sink.accept(event),
+            None => out.log.push(event),
         }
-        drop(sinks);
-        self.events.lock().push(event);
     }
 }
 
 /// A thread-safe event recorder shared by every driver in a test run.
 ///
-/// Cloning is cheap; all clones append to the same log. Each harness node
-/// logs through a [`NodeRecorder`] that stamps its node id and reads its
-/// own clock — which may be deliberately skewed to model imperfect NTP
-/// synchronisation.
+/// Cloning is cheap; all clones record to the same destination. Each
+/// harness node logs through a [`NodeRecorder`] that stamps its node id
+/// and reads its own clock — which may be deliberately skewed to model
+/// imperfect NTP synchronisation.
+///
+/// Every event goes to exactly one place: the recorder's in-memory log
+/// by default, or the sink attached with [`Recorder::attach_sink`]
+/// instead. A caller that wants both the live stream and a batch log
+/// attaches a [`TeeSink`](crate::TeeSink) holding a
+/// [`VecSink`](crate::VecSink).
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     shared: Arc<RecorderShared>,
@@ -231,48 +256,55 @@ impl Recorder {
         }
     }
 
-    /// Number of events logged so far.
+    /// Number of events held in the in-memory log (events handed to a
+    /// sink are not counted).
     pub fn len(&self) -> usize {
-        self.shared.events.lock().len()
+        self.shared.out.lock().log.len()
     }
 
-    /// Returns `true` if nothing has been logged.
+    /// Returns `true` if the in-memory log is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Takes a snapshot of the log as a canonical [`Trace`].
+    /// Copies the in-memory log into a canonical [`Trace`].
     pub fn snapshot(&self) -> Trace {
-        Trace::from_events(self.shared.events.lock().clone())
+        Trace::from_events(self.shared.out.lock().log.clone())
     }
 
-    /// Consumes the recorder, returning the final trace. Other clones keep
-    /// working; this simply snapshots and drops this handle.
+    /// Consumes this handle, moving the in-memory log out into the final
+    /// trace. The log is left empty: other clones and node handles keep
+    /// recording, into that empty log or the attached sink.
     pub fn into_trace(self) -> Trace {
-        self.snapshot()
+        Trace::from_events(std::mem::take(&mut self.shared.out.lock().log))
     }
 
-    /// Attaches a live [`EventSink`]: every event recorded from now on is
-    /// offered to the sink (in logging order, before canonical reordering)
-    /// in addition to the in-memory log.
+    /// Attaches a live [`EventSink`]: every event recorded from now on
+    /// goes to the sink (in logging order, before canonical reordering)
+    /// instead of the in-memory log, which keeps only what was recorded
+    /// before.
     ///
     /// This is the streaming tap: attach a
     /// [`ChannelSink`](crate::ChannelSink) and the paired
-    /// [`EventStream`](crate::EventStream) sees the run live, while
-    /// [`Recorder::snapshot`] keeps working for batch consumers.
+    /// [`EventStream`](crate::EventStream) sees the run live. A sink
+    /// attached earlier is closed and replaced.
     pub fn attach_sink(&self, sink: Box<dyn EventSink>) {
-        self.shared.sinks.lock().push(sink);
+        let replaced = self.shared.out.lock().sink.replace(sink);
+        if let Some(mut replaced) = replaced {
+            replaced.close();
+        }
     }
 
-    /// Closes and detaches every attached sink.
+    /// Closes and detaches the attached sink; later events go to the
+    /// in-memory log again.
     ///
     /// Channel-backed sinks hang up their sending side, which lets the
     /// consuming [`EventStream`](crate::EventStream) drain its reorder
     /// buffer and terminate. The runner calls this once the drivers are
     /// done, on every exit path.
     pub fn close_sinks(&self) {
-        let mut sinks = std::mem::take(&mut *self.shared.sinks.lock());
-        for sink in sinks.iter_mut() {
+        let sink = self.shared.out.lock().sink.take();
+        if let Some(mut sink) = sink {
             sink.close();
         }
     }
@@ -290,25 +322,13 @@ impl NodeRecorder {
     /// Logs an event, stamping the node id, node clock time, and a global
     /// sequence number.
     pub fn record(&self, kind: EventKind) {
-        let event = Event {
-            seq: self.shared.next_seq.fetch_add(1, Ordering::Relaxed),
-            at: self.clock.now(),
-            node: self.node,
-            kind,
-        };
-        self.shared.log(event);
+        self.shared.log(self.node, self.clock.now(), kind);
     }
 
     /// Logs an event with an explicit timestamp (used when the moment of
     /// interest is not "now", e.g. a send stamped by the provider).
     pub fn record_at(&self, at: Timestamp, kind: EventKind) {
-        let event = Event {
-            seq: self.shared.next_seq.fetch_add(1, Ordering::Relaxed),
-            at,
-            node: self.node,
-            kind,
-        };
-        self.shared.log(event);
+        self.shared.log(self.node, at, kind);
     }
 
     /// The node this handle logs as.
@@ -378,14 +398,14 @@ mod tests {
     }
 
     #[test]
-    fn attached_sink_sees_every_recorded_event_and_close() {
-        use crate::sink::VecSink;
-        use std::sync::atomic::AtomicBool;
+    fn attached_sink_takes_every_event_instead_of_the_log() {
+        use crate::sink::{TeeSink, VecSink};
+        use std::sync::atomic::{AtomicBool, Ordering};
 
         #[derive(Debug)]
         struct ClosedFlag(Arc<AtomicBool>);
         impl EventSink for ClosedFlag {
-            fn accept(&mut self, _event: &Event) {}
+            fn accept(&mut self, _event: Event) {}
             fn close(&mut self) {
                 self.0.store(true, Ordering::SeqCst);
             }
@@ -397,22 +417,45 @@ mod tests {
         node.record(EventKind::BrokerCrashed);
 
         let (sink, collected) = VecSink::shared();
-        recorder.attach_sink(Box::new(sink));
         let closed = Arc::new(AtomicBool::new(false));
-        recorder.attach_sink(Box::new(ClosedFlag(Arc::clone(&closed))));
+        recorder.attach_sink(Box::new(
+            TeeSink::new()
+                .with(Box::new(ClosedFlag(Arc::clone(&closed))))
+                .with(Box::new(sink)),
+        ));
 
         node.record(EventKind::BrokerRecovered);
         node.record(EventKind::BrokerCrashed);
-        // The sink only sees events recorded after it was attached.
-        assert_eq!(collected.lock().len(), 2);
-        assert_eq!(recorder.len(), 3);
+        // The sink sees only events recorded after it was attached, and
+        // the log keeps only the events recorded before.
+        let seqs: Vec<u64> = collected.lock().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1, 2]);
+        assert_eq!(recorder.len(), 1);
 
-        recorder.close_sinks();
+        // Attaching again closes the sink it replaces.
+        let (second, second_collected) = VecSink::shared();
+        recorder.attach_sink(Box::new(second));
         assert!(closed.load(Ordering::SeqCst));
         node.record(EventKind::BrokerRecovered);
-        // Detached after close: no further deliveries.
+        assert_eq!(second_collected.lock().len(), 1);
+        recorder.close_sinks();
+        node.record(EventKind::BrokerRecovered);
+        // Detached after close: the log takes events again.
         assert_eq!(collected.lock().len(), 2);
-        assert_eq!(recorder.len(), 4);
+        let seqs: Vec<u64> = recorder.into_trace().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 4]);
+    }
+
+    #[test]
+    fn into_trace_moves_the_log_out() {
+        let recorder = Recorder::new();
+        let node = recorder.node(NodeId::from_raw(0), Arc::new(SystemClock::new()));
+        node.record(EventKind::BrokerCrashed);
+        let other = recorder.clone();
+        assert_eq!(recorder.into_trace().len(), 1);
+        assert!(other.is_empty());
+        node.record(EventKind::BrokerRecovered);
+        assert_eq!(other.snapshot().events()[0].seq, 1);
     }
 
     #[test]

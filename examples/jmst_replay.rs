@@ -121,7 +121,7 @@ fn stream_through_transport(analyzer: &Analyzer, trace: &Trace) -> Result<Analys
         streaming.finish()
     });
     for event in trace {
-        sink.accept(event);
+        sink.accept(event.clone());
     }
     sink.close();
     consumer

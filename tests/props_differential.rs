@@ -84,7 +84,7 @@ fn streaming_report(analyzer: &Analyzer, trace: &Trace) -> AnalysisReport {
         streaming.finish()
     });
     for event in trace {
-        sink.accept(event);
+        sink.accept(event.clone());
     }
     sink.close();
     consumer.join().expect("streaming analysis thread")
