@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod config_text;
 mod drivers;
 pub mod error;
 pub mod lint;
@@ -56,12 +55,11 @@ pub mod proto;
 mod reactor_drivers;
 pub mod retry;
 pub mod runner;
-pub mod serialize;
+pub mod scenario_text;
 pub mod signals;
 pub mod simrun;
 pub mod spec;
 
-pub use config_text::{parse_spec, ConfigError};
 pub use error::HarnessError;
 pub use lint::{lint_props, lint_spec, LintFinding, LintReport, Severity};
 pub use prince::{CampaignReport, DaemonPrince, TestOutcome, TestResult};
@@ -70,7 +68,7 @@ pub use process::{ExitReason, ProcessRegistry, RespawnSchedule, WorkerCommand};
 pub use proto::{ProtoError, WireMessage, WireOutcome};
 pub use retry::RetryPolicy;
 pub use runner::{BrokerAdmin, ThreadedRunner};
-pub use serialize::{serialize_spec, SerializeError};
+pub use scenario_text::{parse_spec, serialize_spec, ConfigError, SerializeError};
 pub use spec::{
     ConsumerSpec, CrashPlan, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec, Subscription,
     TestSpec, TransportMode, TransportSpec,
@@ -78,12 +76,11 @@ pub use spec::{
 
 /// Convenient glob-import for harness users.
 pub mod prelude {
-    pub use crate::config_text::parse_spec;
     pub use crate::lint::{lint_spec, LintFinding, LintReport, Severity};
     pub use crate::prince::{CampaignReport, DaemonPrince, TestOutcome, TestResult};
     pub use crate::retry::RetryPolicy;
     pub use crate::runner::{BrokerAdmin, ThreadedRunner};
-    pub use crate::serialize::{serialize_spec, SerializeError};
+    pub use crate::scenario_text::{parse_spec, serialize_spec, SerializeError};
     pub use crate::spec::{
         ConsumerSpec, CrashPlan, FaultPlan, NodeSpec, ProducerSpec, ReconnectSpec, Subscription,
         TestSpec, TransportMode, TransportSpec,

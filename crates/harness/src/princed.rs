@@ -199,7 +199,7 @@ impl ProcessPrince {
     ) -> Result<CampaignReport, String> {
         let serialized: Vec<String> = specs
             .iter()
-            .map(|s| crate::serialize::serialize_spec(s).unwrap_or_else(|_| s.name.clone()))
+            .map(|s| crate::scenario_text::serialize_spec(s).unwrap_or_else(|_| s.name.clone()))
             .collect();
         let digest = schedule_digest(&serialized);
         let mut report = CampaignReport::default();
@@ -1046,7 +1046,7 @@ pub fn cli_main() -> i32 {
                 return 2;
             }
         };
-        match crate::config_text::parse_spec(&text) {
+        match crate::scenario_text::parse_spec(&text) {
             Ok(spec) => specs.push(spec),
             Err(e) => {
                 eprintln!("{path}: {e}");

@@ -1,9 +1,14 @@
-//! Property-based round-trip test of the scenario text format:
-//! arbitrary valid [`TestSpec`]s must serialize to text that
-//! [`parse_spec`] reads back as an equal spec — pinning the new
-//! serializer against the parser, and retroactively fuzzing every key
-//! the format has grown (`prop`, `batch`, `retry`, `[faults]`,
-//! `open_loop`/`arrival_rate`/`clients`, `shards`, defect switches).
+//! Property-based round-trip tests of the scenario text format, in both
+//! directions:
+//!
+//! - spec → text → spec: arbitrary valid [`TestSpec`]s must serialize to
+//!   text that [`parse_spec`] reads back as an equal spec, and the
+//!   serialization of that spec is a fixed point;
+//! - text → spec → text: random scenario text built from every key's
+//!   grammar plus hostile values (non-finite numbers, `--`, `]`, `=`,
+//!   empty values, sub-millisecond durations, out-of-range integers)
+//!   must, whenever [`parse_spec`] accepts it, serialize and read back
+//!   as the same spec.
 
 use jmst_api::body::BodyKind;
 use jmst_api::destination::Destination;
@@ -418,4 +423,316 @@ proptest! {
         // Serialization of the reparsed spec is a fixed point.
         prop_assert_eq!(serialize_spec(&reparsed).unwrap(), text);
     }
+}
+
+// ---------------------------------------------------------------------
+// The other direction: text → spec → text.
+// ---------------------------------------------------------------------
+
+/// Keys of one section with values from each key's grammar, edge cases
+/// included.
+type Keys = &'static [(&'static str, &'static [&'static str])];
+
+const DURATIONS: &[&str] = &[
+    "0s", "100ms", "1.5s", "250us", "2min", "1ns", "1.5ns", "7.25ms",
+];
+const SWITCHES: &[&str] = &["on", "off", "true", "false", "yes", "no"];
+const PROBABILITIES: &[&str] = &["0", "0.1", "1", "0.05", "-0", "1e-3"];
+const COUNTS: &[&str] = &["0", "1", "7", "+8", "4294967295"];
+
+const TEST_KEYS: Keys = &[
+    ("name", &["demo", "two words", "x=y", "[x]"]),
+    ("seed", &["0", "42", "18446744073709551615"]),
+    ("warm_up", DURATIONS),
+    ("run", DURATIONS),
+    ("warm_down", DURATIONS),
+    ("drain_quiet", DURATIONS),
+    ("retry", SWITCHES),
+    ("fail_fast", SWITCHES),
+    ("open_loop", SWITCHES),
+    ("arrival_rate", &["5000", "0.5", "1e3"]),
+    ("clients", COUNTS),
+    ("shards", COUNTS),
+    ("queue_bound", COUNTS),
+    ("drivers", &["thread", "threads", "reactor"]),
+];
+
+const NODE_KEYS: Keys = &[
+    ("share", SWITCHES),
+    (
+        "clock_skew",
+        &[
+            "2ms",
+            "-5ms",
+            "-0ms",
+            "1.5us",
+            "-250ns",
+            "9223372036s",
+            "-1.5ns",
+        ],
+    ),
+];
+
+const PRODUCER_KEYS: Keys = &[
+    (
+        "destination",
+        &["queue:q", "topic:t", "queue: spaced", "topic:a:b"],
+    ),
+    (
+        "rate",
+        &[
+            "steady 10",
+            "poisson 2.5",
+            "steady 1e2",
+            "burst 3 every 50ms",
+            "burst 3 every 1.5s",
+        ],
+    ),
+    (
+        "body",
+        &["text 64", "bytes 0", "map 256", "object  12", "stream 1"],
+    ),
+    ("priority", &["0", "4", "9", "+7"]),
+    ("delivery", &["persistent", "non-persistent"]),
+    ("ttl", &["forever", "5ms", "0ms", "1.5s", "2min"]),
+    ("transacted", COUNTS),
+    ("limit", &["0", "1000", "18446744073709551615"]),
+    ("batch", COUNTS),
+    (
+        "prop",
+        &[
+            "region 'emea'",
+            "tier 3",
+            "urgent TRUE",
+            "w 2.5",
+            "w 1e300",
+            "w -0.0",
+            "w 5e-324",
+            "q 'it''s'",
+            "q ''",
+            "q 'a '' b'",
+            "q '='",
+        ],
+    ),
+];
+
+const CONSUMER_KEYS: Keys = &[
+    ("destination", &["queue:q", "topic:t", "topic:t2"]),
+    ("durable", &["audit", "two words"]),
+    (
+        "selector",
+        &["JMSPriority >= 5", "tier = 3", "region LIKE 'e%'"],
+    ),
+    (
+        "mode",
+        &[
+            "auto",
+            "dups-ok",
+            "client-ack 0",
+            "client-ack 5",
+            "transacted 3",
+        ],
+    ),
+    ("think", DURATIONS),
+    (
+        "reconnect",
+        &[
+            "after 5 pause 10ms cycles 1",
+            "after 0 pause 1.5ns cycles 0",
+        ],
+    ),
+];
+
+const CRASH_KEYS: Keys = &[("after", DURATIONS), ("down", DURATIONS)];
+
+const FAULT_KEYS: Keys = &[
+    ("seed", &["0", "7"]),
+    ("drop", PROBABILITIES),
+    ("duplicate", PROBABILITIES),
+    ("reorder", &["0.1 5ms", "0 1us", "0.2 1.5ns"]),
+    ("forge", PROBABILITIES),
+    ("connect_failure", PROBABILITIES),
+    ("send_error", PROBABILITIES),
+    ("stall", &["0.01 5ms", "0 0s", "1 2min"]),
+    ("ack_loss", PROBABILITIES),
+    ("max_redeliveries", COUNTS),
+    ("ignore_expiry", SWITCHES),
+    ("ignore_priority", SWITCHES),
+    ("lose_persistent_on_crash", SWITCHES),
+    ("delivery_delay", DURATIONS),
+];
+
+const TRANSPORT_KEYS: Keys = &[
+    ("mode", &["thread", "process"]),
+    ("socket", &["/tmp/p.sock", "sockets/w.sock"]),
+    ("respawn_limit", COUNTS),
+    ("journal", &["camp.jrnl", "/tmp/j.jrnl"]),
+    ("resume", SWITCHES),
+];
+
+const PROPERTY_LINES: &[&str] = &[
+    "late = deadline 100ms where JMSPriority >= 5",
+    "tail = latency p99 <= 250ms",
+    "in_order = ordered",
+    "floor = throughput >= 150.0",
+];
+
+/// Values no key should take as-is: non-finite numbers, doubled signs,
+/// section syntax, empty text, sub-millisecond and overlong durations,
+/// out-of-range integers, and each key's plain grammar errors.
+const HOSTILE: &[&str] = &[
+    "inf",
+    "-inf",
+    "NaN",
+    "--5ms",
+    "]",
+    "=",
+    "",
+    "500us",
+    "1500us",
+    "10000000000s",
+    "600000000000.5s",
+    "4294967296",
+    "99999999999999999999",
+    "-1",
+    "1e400",
+    "x NaN",
+    "x inf",
+    "x 1e400",
+    "x 'unterminated",
+    "steady inf",
+    "poisson NaN",
+    "steady 0",
+    "burst 3 every 500us",
+    "burst 0 every 1ms",
+    "maybe",
+    "queue:",
+    "client-ack",
+    "after 5 pause soon cycles 1",
+    "0.5",
+    "blob 1",
+    "fibers",
+    "a]b",
+    "a=b",
+    "late = ordered",
+    "bad = deadline soon",
+];
+
+const NODE_NAMES: &[&str] = &["n0", "n1", "two words", "x:y"];
+
+fn pick<'a>(rng: &mut proptest::TestRng, options: &[&'a str]) -> &'a str {
+    options[rng.below(options.len() as u64) as usize]
+}
+
+/// Draws a value from `grammar`, or one time in `hostility` from
+/// [`HOSTILE`] (never, when `hostility` is 0).
+fn value<'a>(rng: &mut proptest::TestRng, grammar: &[&'a str], hostility: u64) -> &'a str {
+    if hostility > 0 && rng.below(hostility) == 0 {
+        pick(rng, HOSTILE)
+    } else {
+        pick(rng, grammar)
+    }
+}
+
+/// Appends a `[header]`, the `lead` text, and up to `max` random
+/// `key = value` lines.
+struct Section {
+    header: String,
+    lead: &'static str,
+    keys: Keys,
+    max: u64,
+}
+
+impl Section {
+    fn new(header: impl Into<String>, keys: Keys, max: u64) -> Self {
+        Section {
+            header: header.into(),
+            lead: "",
+            keys,
+            max,
+        }
+    }
+
+    fn write(&self, rng: &mut proptest::TestRng, text: &mut String, hostility: u64) {
+        text.push_str(&format!("[{}]\n{}", self.header, self.lead));
+        for _ in 0..rng.below(self.max + 1) {
+            let (key, values) = self.keys[rng.below(self.keys.len() as u64) as usize];
+            let value = value(rng, values, hostility);
+            text.push_str(&format!("{key} = {value}\n"));
+        }
+    }
+}
+
+/// Random scenario text: a `[test]`, one to three nodes with producers
+/// and consumers, and optional singleton sections. A third of the texts
+/// hold no hostile value; the rest one in `hostility` lines.
+fn scenario_text(rng: &mut proptest::TestRng) -> String {
+    let hostility = [0, 8, 30][rng.below(3) as usize];
+    let mut text = String::new();
+    Section::new("test", TEST_KEYS, 5).write(rng, &mut text, hostility);
+    for _ in 0..=rng.below(3) {
+        let node = format!("node {}", value(rng, NODE_NAMES, hostility));
+        Section::new(node, NODE_KEYS, 2).write(rng, &mut text, hostility);
+        for _ in 0..rng.below(3) {
+            Section::new("producer", PRODUCER_KEYS, 6).write(rng, &mut text, hostility);
+        }
+        for _ in 0..=rng.below(2) {
+            // Durable subscriptions need a topic; most consumers get one.
+            let consumer = Section {
+                lead: ["", "destination = topic:t\n"][rng.below(4).min(1) as usize],
+                ..Section::new("consumer", CONSUMER_KEYS, 4)
+            };
+            consumer.write(rng, &mut text, hostility);
+        }
+    }
+    for singleton in [
+        Section::new("crash", CRASH_KEYS, 2),
+        Section::new("faults", FAULT_KEYS, 6),
+        Section::new("transport", TRANSPORT_KEYS, 4),
+    ] {
+        if rng.below(3) == 0 {
+            singleton.write(rng, &mut text, hostility);
+        }
+    }
+    if rng.below(3) == 0 {
+        text.push_str("[properties]\n");
+        for _ in 0..rng.below(3) {
+            text.push_str(value(rng, PROPERTY_LINES, hostility));
+            text.push('\n');
+        }
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn accepted_text_serializes_and_reads_back_as_the_same_spec(seed in any::<u64>()) {
+        let text = scenario_text(&mut proptest::TestRng::for_case(seed, 0));
+        if let Ok(spec) = parse_spec(&text) {
+            let printed = serialize_spec(&spec)
+                .unwrap_or_else(|e| panic!("accepted text does not serialize: {e}\n---\n{text}"));
+            let reparsed = parse_spec(&printed)
+                .unwrap_or_else(|e| panic!("printed text does not parse: {e}\n---\n{printed}"));
+            prop_assert_eq!(&reparsed, &spec, "text → spec → text diverged\n---\n{}", text);
+            prop_assert_eq!(serialize_spec(&reparsed).unwrap(), printed);
+        }
+    }
+}
+
+/// The generator must keep the property above from being vacuous: a
+/// good share of its texts parse.
+#[test]
+fn generated_scenario_text_is_often_accepted() {
+    let accepted = (0..500u32)
+        .filter(|&case| {
+            let text = scenario_text(&mut proptest::TestRng::for_case(0x5ce9, case));
+            parse_spec(&text).is_ok()
+        })
+        .count();
+    assert!(
+        accepted >= 100,
+        "only {accepted} of 500 generated texts parse"
+    );
 }

@@ -1,10 +1,11 @@
 //! The checked-in scenario files stay honest: every `*.cfg` under
 //! `scenarios/` must parse, and the static lint pass must find no errors
 //! — except files named `*.broken.cfg`, which exist to prove the linter
-//! catches misconfigured tests before any message is sent.
+//! catches misconfigured tests before any message is sent. Every file
+//! that parses also round-trips through `serialize_spec`.
 
 use jmst::harness::lint_spec;
-use jmst::harness::parse_spec;
+use jmst::harness::{parse_spec, serialize_spec};
 use std::path::PathBuf;
 
 fn scenario_files() -> Vec<PathBuf> {
@@ -32,6 +33,13 @@ fn clean_scenarios_lint_clean_and_broken_ones_fail() {
         match parse_spec(&text) {
             Err(error) => assert!(broken, "{path:?} failed to parse: {error}"),
             Ok(spec) => {
+                // Every file that parses round-trips: its spec prints,
+                // and the printed text reads back as the same spec.
+                let printed = serialize_spec(&spec)
+                    .unwrap_or_else(|e| panic!("{path:?} parses but does not serialize: {e}"));
+                let reparsed = parse_spec(&printed)
+                    .unwrap_or_else(|e| panic!("{path:?} prints text that fails to parse: {e}"));
+                assert_eq!(reparsed, spec, "{path:?} does not round-trip:\n{printed}");
                 let report = lint_spec(&spec);
                 if broken {
                     assert!(
