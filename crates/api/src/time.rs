@@ -145,6 +145,14 @@ impl fmt::Display for Timestamp {
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Returns the current time.
     fn now(&self) -> Timestamp;
+
+    /// Moves the clock forward to `at` if it can be moved, and says
+    /// whether it can: real time cannot (the default), a virtual clock
+    /// can. A scheduler with nothing ready jumps rather than waits.
+    fn advance_to(&self, at: Timestamp) -> bool {
+        let _ = at;
+        false
+    }
 }
 
 /// A [`Clock`] backed by [`Instant`], anchored at a single process-wide

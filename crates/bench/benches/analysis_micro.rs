@@ -4,10 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jmst_api::selector::Selector;
-use jmst_api::time::Timestamp;
 use jmst_core::Analyzer;
-use jmst_harness::simrun;
-use jmst_sim::{PubSubScenario, PublisherSpec, ServiceModel};
+use jmst_harness::model::{PubSubScenario, PublisherSpec};
+use jmst_sim::ServiceModel;
 use std::time::Duration;
 
 fn trace_of(messages_per_sec: f64, seconds: u64) -> jmst_store::Trace {
@@ -19,7 +18,7 @@ fn trace_of(messages_per_sec: f64, seconds: u64) -> jmst_store::Trace {
         drain_limit: Duration::from_secs(seconds * 10),
         seed: 5,
     };
-    simrun::run_scenario_to_trace(&scenario, Duration::from_secs(1))
+    scenario.run(Duration::from_secs(1))
 }
 
 fn full_analysis(c: &mut Criterion) {
@@ -87,10 +86,7 @@ fn simulation_engine(c: &mut Criterion) {
             drain_limit: Duration::from_secs(600),
             seed: 3,
         };
-        b.iter(|| {
-            let outcome = scenario.run();
-            outcome.publisher_rate(Timestamp::ZERO, Timestamp::from_secs(60))
-        });
+        b.iter(|| scenario.run(Duration::ZERO).len());
     });
     group.finish();
 }

@@ -8,12 +8,14 @@ use jmst_api::error::Error;
 use jmst_api::id::ClientId;
 use jmst_api::modes::{Priority, TimeToLive};
 use jmst_api::provider::{Connection, Provider};
-use jmst_api::time::Timestamp;
-use jmst_bench::{render_sweep, standard_demand_grid, sweep_to_csv, throughput_sweep};
+use jmst_bench::{
+    model_performance, render_sweep, standard_demand_grid, sweep_to_csv, throughput_sweep,
+};
 use jmst_broker::{BrokerConfig, FaultSpec, ReferenceBroker};
 use jmst_core::{AnalysisConfig, Analyzer, PropertyKind};
+use jmst_harness::model::{PubSubScenario, PublisherSpec};
 use jmst_harness::prelude::*;
-use jmst_sim::{PubSubScenario, PublisherSpec, ServiceModel};
+use jmst_sim::ServiceModel;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,12 +140,9 @@ fn provider_comparison() {
             drain_limit: Duration::from_secs(600),
             seed: 5,
         };
-        let outcome = scenario.run();
-        let rate = outcome.subscriber_rate(
-            Timestamp::ZERO + Duration::from_secs(10),
-            Timestamp::ZERO + Duration::from_secs(60),
-            1,
-        );
+        let rate = model_performance(&scenario, Duration::from_secs(10))
+            .consumer_throughput
+            .messages_per_sec;
         println!("  {name:<10} {rate:>8.1} msg/s sustained");
         rates.push(rate);
         csv_rows.push(vec![(*name).to_owned(), format!("{rate:.3}")]);

@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jmst_core::{AnalysisConfig, Analyzer, CheckerRegistry};
-use jmst_harness::simrun;
+use jmst_harness::model::{PubSubScenario, PublisherSpec};
 use jmst_props::{compile_registry, parse_properties};
-use jmst_sim::{PubSubScenario, PublisherSpec, ServiceModel};
+use jmst_sim::ServiceModel;
 use std::time::Duration;
 
 fn trace_of(messages_per_sec: f64, seconds: u64) -> jmst_store::Trace {
@@ -19,7 +19,7 @@ fn trace_of(messages_per_sec: f64, seconds: u64) -> jmst_store::Trace {
         drain_limit: Duration::from_secs(seconds * 10),
         seed: 5,
     };
-    simrun::run_scenario_to_trace(&scenario, Duration::from_secs(1))
+    scenario.run(Duration::from_secs(1))
 }
 
 fn registry_of(text: &str) -> CheckerRegistry {

@@ -7,8 +7,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use jmst_api::time::Timestamp;
-use jmst_sim::{PubSubScenario, PublisherSpec, ServiceModel};
+use jmst_core::{Analyzer, PerformanceReport};
+use jmst_harness::model::{PubSubScenario, PublisherSpec};
+use jmst_sim::ServiceModel;
 use std::time::Duration;
 
 /// One row of a throughput-vs-demand sweep (the series of Figures 2/3).
@@ -20,9 +21,15 @@ pub struct SweepRow {
     pub publisher_msgs_per_sec: f64,
     /// Per-subscriber delivery throughput in messages per second.
     pub subscriber_msgs_per_sec: f64,
-    /// Mean send→delivery delay in milliseconds (NaN if nothing
-    /// delivered).
+    /// Mean send→delivery delay in milliseconds of the messages sent in
+    /// the run window (NaN if none was delivered).
     pub mean_delay_ms: f64,
+}
+
+/// Runs `scenario` on the service model in virtual time and analyses
+/// its trace as any live run's, over the run window after `warm_up`.
+pub fn model_performance(scenario: &PubSubScenario, warm_up: Duration) -> PerformanceReport {
+    Analyzer::new().analyze(&scenario.run(warm_up)).performance
 }
 
 /// The standard demand grid of the figures: a fine ramp through the
@@ -56,17 +63,17 @@ pub fn throughput_sweep(
                 drain_limit: Duration::from_secs(600),
                 seed,
             };
-            let outcome = scenario.run();
-            let start = Timestamp::ZERO + warm_up;
-            let end = Timestamp::ZERO + production;
+            let performance = model_performance(&scenario, warm_up);
+            let delay = &performance.delay.stats;
             SweepRow {
                 demand_bytes_per_sec: demand,
-                publisher_msgs_per_sec: outcome.publisher_rate(start, end),
-                subscriber_msgs_per_sec: outcome.subscriber_rate(start, end, 1),
-                mean_delay_ms: outcome
-                    .mean_delay(start, end)
-                    .map(|d| d.as_secs_f64() * 1e3)
-                    .unwrap_or(f64::NAN),
+                publisher_msgs_per_sec: performance.producer_throughput.messages_per_sec,
+                subscriber_msgs_per_sec: performance.consumer_throughput.messages_per_sec,
+                mean_delay_ms: if delay.count() > 0 {
+                    delay.mean()
+                } else {
+                    f64::NAN
+                },
             }
         })
         .collect()

@@ -4,9 +4,10 @@
 //! specifications ([`spec`]), producer/consumer drivers hosted as
 //! reactor tasks, the coordinated runner ([`runner`]) with crash
 //! injection, the
-//! scheduling/collection/analysis daemon prince ([`prince`]), and a
-//! virtual-time simulation runner ([`simrun`]) that feeds the same
-//! analysis pipeline for the performance figures.
+//! scheduling/collection/analysis daemon prince ([`prince`]), and the
+//! service-model runs ([`model`]) behind the performance figures: the
+//! same reactor, load engine and recorder in virtual time, feeding the
+//! same analysis pipeline.
 //!
 //! Where the paper distributes tests over JVMs coordinated by RMI, this
 //! harness runs drivers on a reactor worker pool coordinated by channels
@@ -48,6 +49,7 @@
 mod drivers;
 pub mod error;
 pub mod lint;
+pub mod model;
 pub mod prince;
 pub mod princed;
 pub mod process;
@@ -57,11 +59,11 @@ pub mod retry;
 pub mod runner;
 pub mod scenario_text;
 pub mod signals;
-pub mod simrun;
 pub mod spec;
 
 pub use error::HarnessError;
 pub use lint::{lint_props, lint_spec, LintFinding, LintReport, Severity};
+pub use model::{ModelTransport, PubSubScenario, PublisherSpec};
 pub use prince::{CampaignReport, DaemonPrince, TestOutcome, TestResult};
 pub use princed::ProcessPrince;
 pub use process::{ExitReason, ProcessRegistry, RespawnSchedule, WorkerCommand};

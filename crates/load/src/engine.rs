@@ -16,7 +16,8 @@
 //! measurement a closed loop cannot produce.
 
 use crate::client::{ClientSpec, SendDisposition, Transport};
-use jmst_reactor::{Context, Poll, Reactor, Task};
+use jmst_api::time::{Clock, Timestamp};
+use jmst_reactor::{Context, Poll, Reactor, RunClock, Task, WallClock};
 use jmst_sim::arrival::ArrivalGen;
 use jmst_store::stats::LogHistogram;
 use std::sync::atomic::AtomicBool;
@@ -40,9 +41,11 @@ pub struct EngineReport {
     pub send_lag: LogHistogram,
     /// The first abort reason seen, for diagnostics.
     pub first_abort: Option<String>,
-    /// Wall-clock length of the run, from the reactor's epoch to the
-    /// last worker's exit. The epoch is taken after every client's first
-    /// arrival is armed, so it is also the zero of every intended time.
+    /// Clock time the run took, from the reactor's epoch to the last
+    /// worker's exit: real time, or virtual time under
+    /// [`LoadEngine::with_clock`]. The epoch is taken after every
+    /// client's first arrival is armed, so it is also the zero of every
+    /// intended time.
     pub elapsed: Duration,
 }
 
@@ -196,6 +199,23 @@ pub struct LoadEngine {
     workers: usize,
     tick: Duration,
     wheel_slots: usize,
+    clock: Arc<dyn RunClock>,
+}
+
+/// A workspace [`Clock`] as the reactor's [`RunClock`]: its timestamps
+/// are the reactor's nanoseconds, and a clock that can be moved (a
+/// `jmst_sim::VirtualClock`) is moved by the reactor.
+#[derive(Debug, Clone)]
+pub struct ClockSource(pub Arc<dyn Clock>);
+
+impl RunClock for ClockSource {
+    fn now_nanos(&self) -> u64 {
+        self.0.now().as_nanos()
+    }
+
+    fn advance_to(&self, nanos: u64) -> bool {
+        self.0.advance_to(Timestamp::from_nanos(nanos))
+    }
 }
 
 impl LoadEngine {
@@ -211,7 +231,18 @@ impl LoadEngine {
             workers,
             tick: Duration::from_millis(1),
             wheel_slots: 4096,
+            clock: Arc::new(WallClock::new()),
         }
+    }
+
+    /// Runs on `clock` instead of real time, as
+    /// `BrokerConfig::with_clock` does for the broker. On a virtual
+    /// clock the run jumps from arrival to arrival: `run_for`, every
+    /// intended time and [`EngineReport::elapsed`] are virtual, and the
+    /// engine must have one worker.
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = Arc::new(ClockSource(clock));
+        self
     }
 
     /// Overrides the wheel tick width (the scheduling resolution).
@@ -240,7 +271,8 @@ impl LoadEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `transports.len() != self.workers()`.
+    /// Panics if `transports.len() != self.workers()`, or if the clock
+    /// is virtual and there is more than one worker.
     pub fn run(
         &self,
         clients: Vec<ClientSpec>,
@@ -253,8 +285,9 @@ impl LoadEngine {
             self.workers,
             "one transport per worker required"
         );
-        let mut reactor =
-            Reactor::new(self.workers).with_timer_resolution(self.tick, self.wheel_slots);
+        let mut reactor = Reactor::new(self.workers)
+            .with_timer_resolution(self.tick, self.wheel_slots)
+            .with_clock(Arc::clone(&self.clock));
         for (worker, transport) in transports.into_iter().enumerate() {
             reactor.set_worker_state(
                 worker,
@@ -424,6 +457,37 @@ mod tests {
             Some(stop),
         );
         assert!(report.elapsed < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn virtual_clock_runs_in_virtual_time() {
+        use jmst_sim::VirtualClock;
+        // A second of 100 msg/s, then the limit: 100 sends, each exactly
+        // on its intended time, in far less than a second of real time.
+        let clock = Arc::new(VirtualClock::new());
+        let started = std::time::Instant::now();
+        let report = LoadEngine::new(1).with_clock(clock.clone()).run(
+            clients(1, 100.0, 1_000),
+            vec![Box::new(CountingTransport::new(0))],
+            Some(Duration::from_secs(1)),
+            None,
+        );
+        assert_eq!(report.sends, 99, "sends at 10, 20, …, 990 ms");
+        assert_eq!(report.send_lag.max(), Some(Duration::ZERO));
+        assert_eq!(report.elapsed, Duration::from_secs(1));
+        assert_eq!(clock.now(), Timestamp::from_secs(1));
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one worker")]
+    fn virtual_clock_rejects_a_second_worker() {
+        let transports: Vec<Box<dyn Transport>> = (0..2)
+            .map(|_| Box::new(CountingTransport::new(0)) as Box<dyn Transport>)
+            .collect();
+        LoadEngine::new(2)
+            .with_clock(Arc::new(jmst_sim::VirtualClock::new()))
+            .run(clients(2, 100.0, 1), transports, None, None);
     }
 
     #[test]

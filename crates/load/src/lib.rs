@@ -33,7 +33,7 @@ pub mod engine;
 
 pub use client::{ClientSpec, SendDisposition, Transport};
 pub use drain::{DrainPump, DrainReport, INTENDED_NS_PROP};
-pub use engine::{EngineReport, LoadEngine};
+pub use engine::{ClockSource, EngineReport, LoadEngine};
 /// Re-export of the timing wheel, which moved into [`jmst_reactor`]
 /// (the reactor's timer core) and is still part of this crate's public
 /// vocabulary.

@@ -15,7 +15,11 @@
 //! The loop pops *only ready* tasks; idle tasks cost nothing per pass.
 //! When the queue is empty the worker parks until the next timer
 //! deadline or an external wake, bounded by a short slice so stop flags
-//! are observed promptly.
+//! are observed promptly — unless its [`RunClock`] can be moved. Then it
+//! moves the clock to that deadline and carries on, so a run in virtual
+//! time fires every timer at its exact deadline and costs only its
+//! work. Workers cannot agree that all of them are idle, so a movable
+//! clock needs a reactor with one worker.
 //!
 //! A task starts in one of two ways. [`Reactor::spawn`]/[`Reactor::spawn_on`]
 //! give it an initial poll, where it can register wakers or arm its own
@@ -25,13 +29,14 @@
 //! epoch taken. A million pre-armed virtual clients therefore cost one
 //! sort per worker before the clock starts, not a million polls after.
 
+use crate::clock::{RunClock, WallClock};
 use crate::ready::ReadyList;
 use crate::task::{Context, Poll, Task};
 use crate::wheel::TimingWheel;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Longest a worker parks before re-checking stop flags and deadlines.
 const PARK_SLICE: Duration = Duration::from_millis(10);
@@ -55,10 +60,11 @@ pub struct RunOutcome {
     /// Total `poll` calls across all workers — the load-proportionality
     /// measure the O(ready) regression test asserts on.
     pub polls: u64,
-    /// Wall-clock time from the run's epoch to the last worker's exit.
-    /// The epoch is taken once every worker has built its timer wheel,
-    /// so set-up of pre-armed tasks is not counted; `run_for` counts
-    /// from the same epoch.
+    /// Clock time from the run's epoch to the last worker's exit: real
+    /// time on the default [`WallClock`], virtual time on a clock that
+    /// the reactor moves. The epoch is taken once every worker has built
+    /// its timer wheel, so set-up of pre-armed tasks is not counted;
+    /// `run_for` counts from the same epoch.
     pub elapsed: Duration,
     /// The worker-local state slots, in worker order, for the caller to
     /// downcast and harvest (reports, transports, …).
@@ -71,6 +77,7 @@ pub struct Reactor {
     tick: Duration,
     slots: usize,
     next_worker: usize,
+    clock: Arc<dyn RunClock>,
 }
 
 /// Everything one worker starts with.
@@ -105,7 +112,16 @@ impl Reactor {
             tick: Duration::from_millis(1),
             slots: 4096,
             next_worker: 0,
+            clock: Arc::new(WallClock::new()),
         }
+    }
+
+    /// Runs on `clock` instead of real time. A clock that can be moved
+    /// (see [`RunClock::advance_to`]) is jumped to each next timer
+    /// deadline whenever nothing is ready.
+    pub fn with_clock(mut self, clock: Arc<dyn RunClock>) -> Self {
+        self.clock = clock;
+        self
     }
 
     /// Overrides the per-worker timer wheel geometry.
@@ -180,7 +196,19 @@ impl Reactor {
     /// thread; the epoch that [`Context::now`], timer deadlines,
     /// `run_for` and [`RunOutcome::elapsed`] count from is taken once
     /// all of them have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clock can be moved and there is more than one
+    /// worker.
     pub fn run(self, stop: Option<Arc<AtomicBool>>, run_for: Option<Duration>) -> RunOutcome {
+        // Moving a clock to where it already is changes nothing, and
+        // tells whether it can be moved at all.
+        assert!(
+            self.workers.len() == 1 || !self.clock.advance_to(self.clock.now_nanos()),
+            "a clock the reactor moves needs exactly one worker, not {}",
+            self.workers.len()
+        );
         let epoch = Arc::new(OnceLock::new());
         let start = Arc::new(Barrier::new(self.workers.len()));
         let halt = Arc::new(AtomicBool::new(false));
@@ -189,6 +217,7 @@ impl Reactor {
             let run = WorkerRun {
                 start: Arc::clone(&start),
                 epoch: Arc::clone(&epoch),
+                clock: Arc::clone(&self.clock),
                 tick: self.tick,
                 slots: self.slots,
                 stop: stop.clone(),
@@ -211,7 +240,8 @@ impl Reactor {
             outcome.polls += done.polls;
             outcome.worker_states.push(done.state);
         }
-        outcome.elapsed = epoch.get().expect("workers took the epoch").elapsed();
+        let epoch = *epoch.get().expect("workers took the epoch");
+        outcome.elapsed = Duration::from_nanos(self.clock.now_nanos().saturating_sub(epoch));
         outcome
     }
 }
@@ -230,6 +260,7 @@ impl std::fmt::Debug for Reactor {
             )
             .field("tick", &self.tick)
             .field("slots", &self.slots)
+            .field("clock", &self.clock)
             .finish()
     }
 }
@@ -245,8 +276,10 @@ struct WorkerDone {
 struct WorkerRun {
     /// Released once every worker has built its wheel.
     start: Arc<Barrier>,
-    /// The shared epoch, taken by the first worker past `start`.
-    epoch: Arc<OnceLock<Instant>>,
+    /// The shared epoch, in `clock` nanoseconds, taken by the first
+    /// worker past `start`.
+    epoch: Arc<OnceLock<u64>>,
+    clock: Arc<dyn RunClock>,
     tick: Duration,
     slots: usize,
     stop: Option<Arc<AtomicBool>>,
@@ -264,6 +297,7 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
     let WorkerRun {
         start,
         epoch,
+        clock,
         tick,
         slots,
         stop,
@@ -285,7 +319,9 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
     // The clock starts only once every worker's wheel is built, so the
     // first pre-armed deadline fires on time.
     start.wait();
-    let epoch = *epoch.get_or_init(Instant::now);
+    let epoch = *epoch.get_or_init(|| clock.now_nanos());
+    let elapsed_nanos = || clock.now_nanos().saturating_sub(epoch);
+    let elapsed = || Duration::from_nanos(elapsed_nanos());
 
     let should_halt = |elapsed: Duration| {
         halt.load(Ordering::Acquire)
@@ -296,7 +332,7 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
     };
 
     while live > 0 {
-        let now = epoch.elapsed();
+        let now = elapsed();
         if should_halt(now) {
             // Tell the sibling workers too: one stop reason (e.g. this
             // worker's deadline check) halts the whole reactor.
@@ -328,7 +364,7 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
             ran_any = true;
             polls += 1;
             let mut cx = Context {
-                now: epoch.elapsed(),
+                now: elapsed(),
                 stopping: false,
                 timers: &mut timers,
                 ready: &ready,
@@ -357,15 +393,28 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
             continue;
         }
 
-        // Nothing ready: park until the next timer, an external wake, or
-        // the park slice — whichever is soonest.
-        let now_nanos = epoch.elapsed().as_nanos() as u64;
-        let until_timer = timers
-            .next_deadline()
-            .map(|deadline| Duration::from_nanos(deadline.saturating_sub(now_nanos)));
-        let mut wait = until_timer.unwrap_or(PARK_SLICE).min(PARK_SLICE);
-        if let Some(limit) = run_for {
-            wait = wait.min(limit.saturating_sub(epoch.elapsed()));
+        // Nothing ready. A clock that can be moved jumps to the next
+        // timer, or to the end of the run; real time parks until then,
+        // an external wake, or the park slice — whichever is soonest.
+        let now_nanos = elapsed_nanos();
+        let next = timers.next_deadline();
+        let limit = run_for.map(|limit| limit.as_nanos() as u64);
+        let target = match (next, limit) {
+            (Some(deadline), Some(limit)) => Some(deadline.min(limit)),
+            (next, limit) => next.or(limit),
+        };
+        if clock.advance_to(epoch + target.unwrap_or(now_nanos)) {
+            if target.is_none() {
+                // No timer and no end: nothing can happen any more.
+                halt.store(true, Ordering::Release);
+                break;
+            }
+            continue;
+        }
+        let until_timer = next.map(|deadline| deadline.saturating_sub(now_nanos));
+        let mut wait = Duration::from_nanos(until_timer.unwrap_or(u64::MAX)).min(PARK_SLICE);
+        if let Some(limit) = limit {
+            wait = wait.min(Duration::from_nanos(limit.saturating_sub(now_nanos)));
         }
         if !wait.is_zero() {
             ready.park(wait);
@@ -384,7 +433,7 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
             };
             polls += 1;
             let mut cx = Context {
-                now: epoch.elapsed(),
+                now: elapsed(),
                 stopping: true,
                 timers: &mut timers,
                 ready: &ready,
@@ -621,6 +670,99 @@ mod tests {
         });
         assert_eq!(polls, 1);
         assert!(!stopping, "polled before any shutdown sweep");
+    }
+
+    /// A clock the reactor can move: virtual time for the tests below.
+    #[derive(Debug, Default)]
+    struct StepClock(AtomicU64);
+
+    impl RunClock for StepClock {
+        fn now_nanos(&self) -> u64 {
+            self.0.load(Ordering::SeqCst)
+        }
+
+        fn advance_to(&self, nanos: u64) -> bool {
+            self.0.fetch_max(nanos, Ordering::SeqCst);
+            true
+        }
+    }
+
+    /// Sleeps through `deadlines` (from the epoch) one by one, logging
+    /// the time each poll saw.
+    struct Sleeper {
+        deadlines: Vec<Duration>,
+        seen: Arc<Mutex<Vec<Duration>>>,
+    }
+
+    impl Task for Sleeper {
+        fn poll(&mut self, cx: &mut Context<'_>) -> Poll {
+            if cx.stopping() {
+                return Poll::Ready;
+            }
+            self.seen.lock().unwrap().push(cx.now());
+            if self.deadlines.is_empty() {
+                return Poll::Ready;
+            }
+            let next = self.deadlines.remove(0);
+            cx.wake_at_nanos(next.as_nanos() as u64);
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    fn virtual_clock_fires_timers_hours_apart_at_their_exact_deadlines() {
+        let hour = Duration::from_secs(3_600);
+        let deadlines = vec![
+            Duration::from_nanos(1_500_123),
+            hour + Duration::from_nanos(7),
+            3 * hour,
+            3 * hour + Duration::from_micros(1),
+        ];
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut reactor = Reactor::new(1).with_clock(Arc::new(StepClock::default()));
+        reactor.spawn(Box::new(Sleeper {
+            deadlines: deadlines.clone(),
+            seen: Arc::clone(&seen),
+        }));
+        let started = std::time::Instant::now();
+        let outcome = reactor.run(None, None);
+        assert!(started.elapsed() < Duration::from_millis(500));
+        assert_eq!(outcome.completed, 1);
+        let mut expected = vec![Duration::ZERO];
+        expected.extend(deadlines);
+        assert_eq!(*seen.lock().unwrap(), expected);
+    }
+
+    #[test]
+    fn elapsed_is_virtual_time() {
+        // Timers every 2 ms for ever: the run ends at exactly `run_for`.
+        let clock = Arc::new(StepClock::default());
+        let mut reactor = Reactor::new(1).with_clock(clock.clone());
+        reactor.spawn(Box::new(Countdown {
+            remaining: u32::MAX,
+            gap: Duration::from_millis(2),
+            fired: Arc::new(AtomicU64::new(0)),
+        }));
+        let outcome = reactor.run(None, Some(Duration::from_secs(60)));
+        assert_eq!(outcome.elapsed, Duration::from_secs(60));
+        assert_eq!(clock.now_nanos(), 60_000_000_000);
+        // With nothing armed, a run without a limit ends where it is.
+        let mut idle = Reactor::new(1).with_clock(Arc::new(StepClock::default()));
+        idle.spawn(Box::new(WaitForWake {
+            handoff: Arc::new(Mutex::new(None)),
+            armed: false,
+        }));
+        let outcome = idle.run(None, None);
+        assert_eq!(outcome.elapsed, Duration::ZERO);
+        assert_eq!(outcome.completed, 1, "swept out at the halt");
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one worker")]
+    fn a_clock_the_reactor_moves_rejects_a_second_worker() {
+        Reactor::new(2)
+            .with_clock(Arc::new(StepClock::default()))
+            .run(None, None);
     }
 
     /// Yields a fixed number of times, then completes.

@@ -19,6 +19,10 @@
 //!   worker at spawn, so each is polled by exactly one thread and can
 //!   share that worker's state slot (e.g. one transport for thousands
 //!   of clients) without locking.
+//! * **One clock** ([`RunClock`]): real time by default ([`WallClock`]);
+//!   on a clock that can be moved, a one-worker reactor jumps from timer
+//!   to timer in virtual time instead of parking — how the service-model
+//!   runs behind Figures 2 and 3 execute.
 //!
 //! ```
 //! use jmst_reactor::{Context, Poll, Reactor, Task};
@@ -47,11 +51,13 @@
 
 #![warn(missing_docs)]
 
+mod clock;
 mod executor;
 mod ready;
 mod task;
 mod wheel;
 
+pub use clock::{RunClock, WallClock};
 pub use executor::{Reactor, RunOutcome};
 pub use ready::{ReadyList, Waker};
 pub use task::{Context, Poll, Task};

@@ -15,7 +15,9 @@
 //! Deadlines are `u64` nanosecond offsets from an epoch the caller
 //! chooses (the engine uses its start instant). Firing order within one
 //! tick is insertion order; across ticks it is deadline order at tick
-//! resolution.
+//! resolution. While every slot is empty the wheel turns straight to the
+//! next overflow tick, so a virtual clock that jumps hours ahead costs
+//! one step, not one per tick.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
@@ -39,6 +41,8 @@ pub struct TimingWheel {
     /// they precede every `overflow` entry.
     loaded: VecDeque<Entry>,
     len: usize,
+    /// Entries in `slots` (the rest wait in `overflow` or `loaded`).
+    slotted: usize,
 }
 
 impl TimingWheel {
@@ -58,6 +62,7 @@ impl TimingWheel {
             overflow: BTreeMap::new(),
             loaded: VecDeque::new(),
             len: 0,
+            slotted: 0,
         }
     }
 
@@ -84,6 +89,7 @@ impl TimingWheel {
         } else {
             let index = (tick % self.slots.len() as u64) as usize;
             self.slots[index].push((deadline_nanos, client));
+            self.slotted += 1;
         }
         self.len += 1;
     }
@@ -124,6 +130,17 @@ impl TimingWheel {
         let before = due.len();
         let target = now_nanos / self.tick_nanos;
         while self.current_tick < target {
+            if self.slotted == 0 {
+                // Nothing until the first overflow tick: turn straight
+                // to it (or to the target), where promotion refills the
+                // slots.
+                let next = self.first_overflow_tick().unwrap_or(target);
+                self.current_tick = next.clamp(self.current_tick, target);
+                self.promote_overflow();
+                if self.current_tick == target {
+                    break;
+                }
+            }
             let index = (self.current_tick % self.slots.len() as u64) as usize;
             due.append(&mut self.slots[index]);
             self.current_tick += 1;
@@ -140,6 +157,17 @@ impl TimingWheel {
             }
         }
         self.len -= due.len() - before;
+        self.slotted -= due.len() - before;
+    }
+
+    /// The earliest tick holding an event beyond the horizon.
+    fn first_overflow_tick(&self) -> Option<u64> {
+        let loaded = self
+            .loaded
+            .front()
+            .map(|&(deadline, _)| (deadline / self.tick_nanos).max(self.current_tick));
+        let overflow = self.overflow.keys().next().copied();
+        loaded.into_iter().chain(overflow).min()
     }
 
     /// Moves overflow events whose tick is now within the horizon into
@@ -153,6 +181,7 @@ impl TimingWheel {
             }
             let index = (tick % self.slots.len() as u64) as usize;
             self.slots[index].extend(self.loaded.pop_front());
+            self.slotted += 1;
         }
         while let Some(entry) = self.overflow.first_entry() {
             if *entry.key() >= horizon {
@@ -160,6 +189,7 @@ impl TimingWheel {
             }
             let (tick, entries) = entry.remove_entry();
             let index = (tick % self.slots.len() as u64) as usize;
+            self.slotted += entries.len();
             self.slots[index].extend(entries);
         }
     }
@@ -284,6 +314,22 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen.len(), 10_000);
         assert!(seen.iter().enumerate().all(|(i, &c)| i as u32 == c));
+    }
+
+    #[test]
+    fn long_empty_stretches_are_skipped_in_one_step() {
+        let mut w = wheel(); // horizon = 16 ms
+        let hours = 3 * 3_600 * 1_000_000_000u64;
+        w.schedule(hours, 1);
+        w.schedule(2 * hours, 2);
+        assert_eq!(fire(&mut w, hours - 1), Vec::<u32>::new());
+        assert_eq!(fire(&mut w, hours), vec![1]);
+        assert_eq!(w.next_deadline(), Some(2 * hours));
+        assert_eq!(fire(&mut w, 3 * hours), vec![2]);
+        assert!(w.is_empty());
+        // The wheel stands at the target: a later deadline still lands.
+        w.schedule(3 * hours + 5_000_000, 3);
+        assert_eq!(fire(&mut w, 3 * hours + 5_000_000), vec![3]);
     }
 
     #[test]

@@ -35,38 +35,23 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// Creates a clock already set to `at`.
-    pub fn starting_at(at: Timestamp) -> Self {
-        Self {
-            nanos: Arc::new(AtomicU64::new(at.as_nanos())),
-        }
-    }
-
     /// Advances the clock by `duration`.
     pub fn advance(&self, duration: Duration) {
         self.nanos
             .fetch_add(duration.as_nanos() as u64, Ordering::SeqCst);
-    }
-
-    /// Moves the clock to `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time: simulated time
-    /// never flows backwards.
-    pub fn set(&self, at: Timestamp) {
-        let previous = self.nanos.swap(at.as_nanos(), Ordering::SeqCst);
-        assert!(
-            previous <= at.as_nanos(),
-            "virtual clock moved backwards: {previous} -> {}",
-            at.as_nanos()
-        );
     }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> Timestamp {
         Timestamp::from_nanos(self.nanos.load(Ordering::SeqCst))
+    }
+
+    /// Moves the clock to `at`, or leaves it where it is if it is
+    /// already later; always `true`.
+    fn advance_to(&self, at: Timestamp) -> bool {
+        self.nanos.fetch_max(at.as_nanos(), Ordering::SeqCst);
+        true
     }
 }
 
@@ -90,17 +75,11 @@ mod tests {
     }
 
     #[test]
-    fn starting_at_and_set() {
-        let clock = VirtualClock::starting_at(Timestamp::from_millis(10));
-        assert_eq!(clock.now(), Timestamp::from_millis(10));
-        clock.set(Timestamp::from_millis(20));
-        assert_eq!(clock.now(), Timestamp::from_millis(20));
-    }
-
-    #[test]
-    #[should_panic(expected = "moved backwards")]
-    fn set_rejects_time_travel() {
-        let clock = VirtualClock::starting_at(Timestamp::from_millis(10));
-        clock.set(Timestamp::from_millis(5));
+    fn advance_to_jumps_forward_only() {
+        let clock = VirtualClock::new();
+        assert!(clock.advance_to(Timestamp::from_millis(30)));
+        assert!(clock.advance_to(Timestamp::from_millis(20)));
+        assert_eq!(clock.now(), Timestamp::from_millis(30));
+        assert!(!jmst_api::time::SystemClock::new().advance_to(Timestamp::ZERO));
     }
 }

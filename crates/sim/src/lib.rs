@@ -1,18 +1,21 @@
-//! # jmst-sim — discrete-event simulation substrate
+//! # jmst-sim — simulation substrate
 //!
-//! Virtual time, a deterministic event engine, workload distributions, and
-//! queueing models of JMS providers. This crate supplies the pieces the
-//! paper's evaluation needed real hardware and commercial products for:
+//! Virtual time, workload distributions, and queueing models of JMS
+//! providers. This crate supplies the pieces the paper's evaluation
+//! needed real hardware and commercial products for:
 //!
-//! * [`clock`] — a shareable [`VirtualClock`] so the
-//!   reference broker can run on simulated time in tests;
-//! * [`engine`] — a minimal deterministic discrete-event engine;
+//! * [`clock`] — a shareable [`VirtualClock`]; the reactor jumps it from
+//!   deadline to deadline, and the reference broker can run on it in
+//!   tests;
 //! * [`dist`] / [`arrival`] — seeded distributions and the steady / burst /
 //!   Poisson send profiles of the paper's §3.2;
 //! * [`service`] — queueing models reproducing the overload behaviour of
-//!   the paper's Provider I (plateau) and Provider II (thrashing);
-//! * [`pubsub`] — the publish/subscribe load simulation behind the
-//!   Figure 2 and Figure 3 reproductions.
+//!   the paper's Provider I (plateau) and Provider II (thrashing), and
+//!   the one [`ServiceQueue`] that runs them.
+//!
+//! There is no event loop here: the Figure 2 and Figure 3 runs drive a
+//! [`ServiceQueue`] from the reactor in virtual time
+//! (`jmst_harness::model`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -20,13 +23,9 @@
 pub mod arrival;
 pub mod clock;
 pub mod dist;
-pub mod engine;
-pub mod pubsub;
 pub mod service;
 
 pub use arrival::{ArrivalGen, ArrivalProcess};
 pub use clock::VirtualClock;
 pub use dist::{DurationDist, SimRng};
-pub use engine::Sim;
-pub use pubsub::{DeliveryRecord, PubSubOutcome, PubSubScenario, PublisherSpec, SendRecord};
-pub use service::ServiceModel;
+pub use service::{ServiceModel, ServiceQueue};

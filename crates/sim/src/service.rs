@@ -14,9 +14,16 @@
 //!   sending. Modelled by [`ServiceModel::Thrashing`]: an unbounded queue
 //!   whose per-message service time grows with the backlog (buffer
 //!   management, paging and GC-like overheads).
+//!
+//! [`ServiceQueue`] is the one implementation of the single server both
+//! models describe. It has no event loop of its own: its owner advances
+//! it to the owner's clock, so the same queue serves a virtual-time run
+//! on the reactor and any other caller with a clock.
 
 use crate::dist::{DurationDist, SimRng};
+use jmst_api::time::Timestamp;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
@@ -149,20 +156,6 @@ impl ServiceModel {
             } => delivery_latency.sample(rng),
         }
     }
-
-    /// Returns the nominal unloaded capacity in messages per second.
-    pub fn nominal_capacity(&self) -> f64 {
-        match *self {
-            ServiceModel::Plateau {
-                capacity_msgs_per_sec,
-                ..
-            } => capacity_msgs_per_sec,
-            ServiceModel::Thrashing {
-                base_capacity_msgs_per_sec,
-                ..
-            } => base_capacity_msgs_per_sec,
-        }
-    }
 }
 
 impl fmt::Display for ServiceModel {
@@ -185,6 +178,76 @@ impl fmt::Display for ServiceModel {
                 "thrashing({base_capacity_msgs_per_sec} msg/s, threshold {degradation_threshold})"
             ),
         }
+    }
+}
+
+/// The single FIFO server of a [`ServiceModel`], holding items of type
+/// `T` until their service completes.
+///
+/// A message starts service as soon as the server is free, and its
+/// service time is drawn then, from the messages queued behind it at
+/// that moment. A plateau server's room (head included) holds
+/// `queue_capacity` messages and refuses offers until its head
+/// completes. The queue is lazy: [`advance`](Self::advance) it to the
+/// caller's `now` before each [`offer`](Self::offer).
+#[derive(Debug, Clone)]
+pub struct ServiceQueue<T> {
+    model: ServiceModel,
+    /// `(item, body bytes)` in arrival order; the front is in service.
+    queue: VecDeque<(T, usize)>,
+    /// When the front completes; `None` while idle.
+    head_done: Option<Timestamp>,
+}
+
+impl<T> ServiceQueue<T> {
+    /// An idle, empty server running `model`.
+    pub fn new(model: ServiceModel) -> Self {
+        Self {
+            model,
+            queue: VecDeque::new(),
+            head_done: None,
+        }
+    }
+
+    /// The model this server runs.
+    pub fn model(&self) -> &ServiceModel {
+        &self.model
+    }
+
+    /// When the message in service completes; `None` while idle.
+    pub fn next_completion(&self) -> Option<Timestamp> {
+        self.head_done
+    }
+
+    /// Completes, in order, every message served by `now`, handing each
+    /// to `complete` with its completion time; the next one starts
+    /// service at that same instant.
+    pub fn advance(&mut self, now: Timestamp, mut complete: impl FnMut(Timestamp, T)) {
+        while let Some(done) = self.head_done.filter(|&done| done <= now) {
+            let (item, _) = self.queue.pop_front().expect("a message is in service");
+            complete(done, item);
+            self.start_head(done);
+        }
+    }
+
+    /// Admits a message of `body_bytes` bytes at `now`, or returns when
+    /// the head of a full plateau room completes.
+    pub fn offer(&mut self, now: Timestamp, body_bytes: usize, item: T) -> Result<(), Timestamp> {
+        debug_assert!(self.head_done.is_none_or(|done| done > now), "not advanced");
+        match (self.model.queue_capacity(), self.head_done) {
+            (Some(capacity), Some(done)) if self.queue.len() >= capacity => return Err(done),
+            _ => self.queue.push_back((item, body_bytes)),
+        }
+        if self.head_done.is_none() {
+            self.start_head(now);
+        }
+        Ok(())
+    }
+
+    fn start_head(&mut self, at: Timestamp) {
+        let backlog = self.queue.len().saturating_sub(1);
+        self.head_done = (self.queue.front())
+            .map(|&(_, body_bytes)| at + self.model.service_time(backlog, body_bytes));
     }
 }
 
@@ -235,16 +298,63 @@ mod tests {
     }
 
     #[test]
-    fn nominal_capacity() {
-        assert_eq!(ServiceModel::plateau(45.0, 10).nominal_capacity(), 45.0);
-        assert_eq!(ServiceModel::thrashing(160.0, 10).nominal_capacity(), 160.0);
-    }
-
-    #[test]
     fn latency_sampling_uses_configured_distribution() {
         let model = ServiceModel::plateau(10.0, 1);
         let mut rng = SimRng::seed_from_u64(0);
         assert_eq!(model.delivery_latency(&mut rng), Duration::from_millis(1));
+    }
+
+    fn completions<T: Copy>(queue: &mut ServiceQueue<T>, now: Timestamp) -> Vec<(u64, T)> {
+        let mut done = Vec::new();
+        queue.advance(now, |at, item| done.push((at.as_millis(), item)));
+        done
+    }
+
+    #[test]
+    fn queue_serves_in_order_back_to_back() {
+        let mut queue = ServiceQueue::new(ServiceModel::plateau(100.0, 10));
+        for item in 0..3 {
+            queue.offer(Timestamp::ZERO, 0, item).unwrap();
+        }
+        assert_eq!(queue.next_completion(), Some(Timestamp::from_millis(10)));
+        assert_eq!(
+            completions(&mut queue, Timestamp::from_millis(25)),
+            [(10, 0), (20, 1)]
+        );
+        assert_eq!(queue.next_completion(), Some(Timestamp::from_millis(30)));
+        assert_eq!(completions(&mut queue, Timestamp::from_secs(1)), [(30, 2)]);
+        assert_eq!(queue.next_completion(), None);
+    }
+
+    #[test]
+    fn plateau_room_is_full_until_the_head_completes() {
+        let mut queue = ServiceQueue::new(ServiceModel::plateau(100.0, 2));
+        queue.offer(Timestamp::ZERO, 0, 0).unwrap();
+        queue.offer(Timestamp::ZERO, 0, 1).unwrap();
+        assert_eq!(
+            queue.offer(Timestamp::from_millis(5), 0, 2),
+            Err(Timestamp::from_millis(10))
+        );
+        completions(&mut queue, Timestamp::from_millis(10));
+        assert!(queue.offer(Timestamp::from_millis(10), 0, 2).is_ok());
+    }
+
+    #[test]
+    fn thrashing_draws_service_time_from_the_backlog_at_start() {
+        // 10 ms nominal, degrading past a backlog of 1.
+        let mut queue = ServiceQueue::new(ServiceModel::thrashing(100.0, 1));
+        queue.offer(Timestamp::ZERO, 0, 0).unwrap();
+        // Admitted while 0 is in service: they raise the backlog 1 finds
+        // when it starts, not the service time 0 already drew.
+        for item in 1..4 {
+            queue.offer(Timestamp::from_millis(1), 0, item).unwrap();
+        }
+        // 0: backlog 0 at t=0 → 10 ms. 1: backlog 2 at t=10 → ×2 = 20 ms.
+        // 2: backlog 1 at t=30 → 10 ms. 3: backlog 0 → 10 ms.
+        assert_eq!(
+            completions(&mut queue, Timestamp::from_secs(1)),
+            [(10, 0), (30, 1), (40, 2), (50, 3)]
+        );
     }
 
     #[test]

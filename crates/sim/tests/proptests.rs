@@ -1,120 +1,14 @@
-//! Property-based tests of the simulation substrate: conservation laws,
-//! capacity bounds, and determinism of the queueing models; statistical
-//! sanity of the distributions.
+//! Property-based tests of the simulation substrate: statistical sanity
+//! of the distributions and arrival processes. The queueing models'
+//! conservation, capacity and determinism properties are tested where
+//! they run, in `jmst-harness`'s `model_proptests`.
 
-use jmst_api::time::Timestamp;
-use jmst_sim::{
-    ArrivalProcess, DurationDist, PubSubScenario, PublisherSpec, ServiceModel, Sim, SimRng,
-};
+use jmst_sim::{ArrivalProcess, DurationDist, SimRng};
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn arb_model() -> impl Strategy<Value = ServiceModel> {
-    prop_oneof![
-        (10.0f64..500.0, 1usize..64)
-            .prop_map(|(capacity, queue)| ServiceModel::plateau(capacity, queue)),
-        (10.0f64..500.0, 10usize..500)
-            .prop_map(|(capacity, threshold)| ServiceModel::thrashing(capacity, threshold)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn conservation_and_bounds(
-        model in arb_model(),
-        rate in 1.0f64..600.0,
-        subscribers in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let scenario = PubSubScenario {
-            publishers: vec![PublisherSpec::steady(rate, 256)],
-            subscribers,
-            model,
-            production_period: Duration::from_secs(10),
-            drain_limit: Duration::from_secs(120),
-            seed,
-        };
-        let outcome = scenario.run();
-        // Conservation: deliveries never exceed sends × fan-out; the
-        // shortfall is exactly the unfinished backlog.
-        prop_assert!(outcome.deliveries.len() <= outcome.sends.len() * subscribers);
-        prop_assert_eq!(
-            outcome.deliveries.len() / subscribers + outcome.unfinished as usize,
-            outcome.sends.len()
-        );
-        // Sends are accepted no earlier than attempted.
-        for send in &outcome.sends {
-            prop_assert!(send.accepted_at >= send.attempted_at);
-        }
-        // Deliveries never precede their sends.
-        for delivery in &outcome.deliveries {
-            prop_assert!(delivery.delivered_at >= delivery.sent_at);
-        }
-    }
-
-    #[test]
-    fn plateau_never_exceeds_capacity(
-        capacity in 20.0f64..200.0,
-        demand_factor in 1.0f64..10.0,
-        seed in any::<u64>(),
-    ) {
-        let scenario = PubSubScenario {
-            publishers: vec![PublisherSpec::steady(capacity * demand_factor, 128)],
-            subscribers: 1,
-            model: ServiceModel::plateau(capacity, 16),
-            production_period: Duration::from_secs(30),
-            drain_limit: Duration::from_secs(300),
-            seed,
-        };
-        let outcome = scenario.run();
-        let rate = outcome.subscriber_rate(
-            Timestamp::from_secs(5),
-            Timestamp::from_secs(30),
-            1,
-        );
-        prop_assert!(
-            rate <= capacity * 1.05,
-            "delivered {rate} above capacity {capacity}"
-        );
-        // Under heavy overload the plateau is *reached* (within 10%).
-        if demand_factor >= 2.0 {
-            prop_assert!(rate >= capacity * 0.9, "rate {rate} vs capacity {capacity}");
-        }
-    }
-
-    #[test]
-    fn scenarios_are_deterministic(model in arb_model(), seed in any::<u64>()) {
-        let scenario = PubSubScenario {
-            publishers: vec![PublisherSpec {
-                arrivals: ArrivalProcess::poisson(90.0),
-                body_bytes: 64,
-            }],
-            subscribers: 2,
-            model,
-            production_period: Duration::from_secs(5),
-            drain_limit: Duration::from_secs(60),
-            seed,
-        };
-        prop_assert_eq!(scenario.run(), scenario.run());
-    }
-
-    #[test]
-    fn engine_fires_everything_exactly_once(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        for &t in &times {
-            sim.schedule_at(Timestamp::from_millis(t), move |log: &mut Vec<u64>, _| {
-                log.push(t)
-            });
-        }
-        let mut log = Vec::new();
-        sim.run(&mut log);
-        prop_assert_eq!(log.len(), times.len());
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(log, sorted);
-    }
 
     #[test]
     fn duration_distributions_sample_nonnegative_and_near_mean(

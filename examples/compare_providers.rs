@@ -5,8 +5,9 @@
 //! between commercial providers on some workloads.
 //!
 //! Three modelled providers (stand-ins for the paper's anonymous
-//! commercial systems) run the same pub/sub workload sweep in simulated
-//! time; the table shows delivered throughput and mean delay per demand
+//! commercial systems) run the same pub/sub workload sweep in virtual
+//! time, and each run's trace goes through the same `Analyzer` as a live
+//! run's; the table shows delivered throughput and mean delay per demand
 //! level.
 //!
 //! ```sh
@@ -14,7 +15,7 @@
 //! ```
 
 use jmst::prelude::*;
-use jmst_api::time::Timestamp;
+use jmst_core::PerformanceReport;
 use std::time::Duration;
 
 struct ModelledProvider {
@@ -43,39 +44,41 @@ fn providers() -> Vec<ModelledProvider> {
     ]
 }
 
-fn main() {
-    let body_bytes = 1024;
-    let demands_msgs_per_sec = [10.0, 25.0, 50.0, 100.0, 200.0, 400.0];
-    let production = Duration::from_secs(60);
-    let warm_up = Duration::from_secs(10);
+const BODY_BYTES: usize = 1024;
 
-    println!("workload: 1 publisher, 1 subscriber, {body_bytes} B bodies, 60 s run\n");
+/// One publisher at `rate` msg/s against `model` for 60 s, measured
+/// after a 10 s warm-up.
+fn measure(model: &ServiceModel, rate: f64) -> PerformanceReport {
+    let scenario = PubSubScenario {
+        publishers: vec![PublisherSpec::steady(rate, BODY_BYTES)],
+        subscribers: 1,
+        model: model.clone(),
+        production_period: Duration::from_secs(60),
+        drain_limit: Duration::from_secs(600),
+        seed: 7,
+    };
+    let trace = scenario.run(Duration::from_secs(10));
+    Analyzer::new().analyze(&trace).performance
+}
+
+fn main() {
+    let demands_msgs_per_sec = [10.0, 25.0, 50.0, 100.0, 200.0, 400.0];
+
+    println!("workload: 1 publisher, 1 subscriber, {BODY_BYTES} B bodies, 60 s run\n");
     println!(
         "{:<22} {:>12} {:>14} {:>14} {:>12}",
         "provider", "demand msg/s", "pub msg/s", "sub msg/s", "delay ms"
     );
     for provider in providers() {
         for &rate in &demands_msgs_per_sec {
-            let scenario = PubSubScenario {
-                publishers: vec![PublisherSpec::steady(rate, body_bytes)],
-                subscribers: 1,
-                model: provider.model.clone(),
-                production_period: production,
-                drain_limit: Duration::from_secs(600),
-                seed: 7,
-            };
-            let outcome = scenario.run();
-            let start = Timestamp::ZERO + warm_up;
-            let end = Timestamp::ZERO + production;
-            let publisher = outcome.publisher_rate(start, end);
-            let subscriber = outcome.subscriber_rate(start, end, 1);
-            let delay_ms = outcome
-                .mean_delay(start, end)
-                .map(|d| d.as_secs_f64() * 1e3)
-                .unwrap_or(f64::NAN);
+            let performance = measure(&provider.model, rate);
             println!(
                 "{:<22} {:>12.1} {:>14.1} {:>14.1} {:>12.2}",
-                provider.name, rate, publisher, subscriber, delay_ms
+                provider.name,
+                rate,
+                performance.producer_throughput.messages_per_sec,
+                performance.consumer_throughput.messages_per_sec,
+                performance.delay.stats.mean()
             );
         }
         println!();
@@ -85,17 +88,9 @@ fn main() {
     println!("sustained throughput at the highest demand:");
     let mut sustained = Vec::new();
     for provider in providers() {
-        let scenario = PubSubScenario {
-            publishers: vec![PublisherSpec::steady(400.0, body_bytes)],
-            subscribers: 1,
-            model: provider.model.clone(),
-            production_period: production,
-            drain_limit: Duration::from_secs(600),
-            seed: 7,
-        };
-        let outcome = scenario.run();
-        let rate =
-            outcome.subscriber_rate(Timestamp::ZERO + warm_up, Timestamp::ZERO + production, 1);
+        let rate = measure(&provider.model, 400.0)
+            .consumer_throughput
+            .messages_per_sec;
         sustained.push((provider.name, rate));
         println!("  {:<10} {:>8.1} msg/s", provider.name, rate);
     }

@@ -12,31 +12,41 @@
 //!    host a million closed-loop drivers, but a million poll-driven
 //!    timer tasks are just memory.
 //! 2. **Model crossover** — the same 100K-client population swept across
-//!    rising demand against time-compressed stand-ins for the paper's
-//!    Provider I (plateau: flow control holds throughput at capacity)
-//!    and Provider II (thrashing: delivered throughput collapses), with
-//!    p99/p99.9 latency per point. Under overload the curves cross: the
-//!    slower flow-controlled provider out-delivers the faster one.
+//!    rising demand against ×50 stand-ins for the paper's Provider I
+//!    (plateau: flow control holds throughput at capacity) and Provider
+//!    II (thrashing: delivered throughput collapses), with p99/p99.9
+//!    latency per point. These runs are the Figure 2/3 model runs
+//!    (`jmst_harness::model`): the load engine's clients on a one-worker
+//!    reactor in virtual time, measured from the recorded trace. Under
+//!    overload the curves cross: the slower flow-controlled provider
+//!    out-delivers the faster one.
 //! 3. **Coordinated omission** — the same overloaded thrashing model
 //!    measured open-loop (latency from the *intended* send time) and
-//!    closed-loop (each client waits for its previous response); the
-//!    closed loop under-reports tail latency by orders of magnitude.
+//!    closed-loop (reactor tasks that each wait for their own delivery
+//!    before sending again), through the same model transport in
+//!    virtual time; the closed loop under-reports tail latency by orders
+//!    of magnitude.
 //!
 //! ```sh
 //! cargo run --release --example throughput_curve            # full sweep
 //! cargo run --release --example throughput_curve -- --smoke # CI: short runs, still sweeps to 1M clients
 //! ```
 
+use jmst_api::id::NodeId;
 use jmst_api::modes::SessionMode;
 use jmst_api::provider::{Connection, Consumer, Producer, Provider, Session};
+use jmst_api::time::Timestamp;
 use jmst_api::value::Value;
 use jmst_api::{destination::Destination, message::MessageDraft};
 use jmst_broker::ReferenceBroker;
-use jmst_load::{ClientSpec, DrainPump, LoadEngine, SendDisposition, Transport, INTENDED_NS_PROP};
-use jmst_sim::{ArrivalProcess, DurationDist, ServiceModel, SimRng};
-use jmst_store::LogHistogram;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Arc, Mutex};
+use jmst_harness::model::{ModelTransport, PubSubScenario, PublisherSpec};
+use jmst_load::{
+    ClientSpec, ClockSource, DrainPump, LoadEngine, SendDisposition, Transport, INTENDED_NS_PROP,
+};
+use jmst_reactor::{Context, Poll, Reactor, Task, Waker};
+use jmst_sim::{ArrivalProcess, DurationDist, ServiceModel, SimRng, VirtualClock};
+use jmst_store::{EventKind, LogHistogram, MessageRecord, Recorder};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Body size used throughout, matching the paper's 1 kB messages.
@@ -197,9 +207,9 @@ fn broker_point(clients: usize, offered_per_sec: f64, run_for: Duration) -> Brok
 // Experiment 2: plateau-vs-collapse crossover against service models
 // ---------------------------------------------------------------------------
 
-/// Time-compressed stand-in for the paper's Provider I: the same
-/// flow-controlled plateau shape as [`ServiceModel::provider_one`], scaled
-/// ×50 so the plateau emerges within a seconds-long real-time run.
+/// Stand-in for the paper's Provider I with the same flow-controlled
+/// plateau shape as [`ServiceModel::provider_one`], scaled ×50 so that
+/// 100K clients load it within a seconds-long run.
 fn scaled_provider_one() -> ServiceModel {
     ServiceModel::Plateau {
         capacity_msgs_per_sec: 2_250.0,
@@ -209,10 +219,9 @@ fn scaled_provider_one() -> ServiceModel {
     }
 }
 
-/// Time-compressed stand-in for the paper's Provider II: the same
-/// unbounded thrashing shape as [`ServiceModel::provider_two`], scaled
-/// ×50 in rate — and with the backlog threshold compressed to match, so
-/// degradation sets in on the same compressed timescale and the collapse
+/// Stand-in for the paper's Provider II with the same unbounded
+/// thrashing shape as [`ServiceModel::provider_two`], scaled ×50 in rate
+/// and with the backlog threshold compressed to match, so the collapse
 /// emerges within the run.
 fn scaled_provider_two() -> ServiceModel {
     ServiceModel::Thrashing {
@@ -224,85 +233,40 @@ fn scaled_provider_two() -> ServiceModel {
     }
 }
 
-/// Tally of one model run, shared between the transport (which fills it
-/// in on the engine worker) and the caller.
-#[derive(Default)]
-struct ModelTally {
-    admitted: u64,
-    completed_in_window: u64,
-    /// Completions in the second half of the window — the steady-state
-    /// delivery rate after the backlog (and its degradation) has built.
-    completed_steady: u64,
-    latency: LogHistogram,
-}
+/// Long enough for the deepest thrashing backlog to drain, so every
+/// admitted message has a delivery latency.
+const MODEL_DRAIN: Duration = Duration::from_secs(3_600);
 
-/// A virtual broker implementing a [`ServiceModel`] as a single-server
-/// queue in real time: each admitted send is assigned a completion time
-/// analytically, so latency (completion − intended) is exact without
-/// waiting for delivery. A full plateau queue answers `RetryAfter` until
-/// the head-of-line message completes — the flow control that throttles
-/// producers in Figure 2.
-struct ModelTransport {
+/// `clients` publishers of 1 KiB messages against `model` for `run_for`.
+fn model_scenario(
     model: ServiceModel,
-    rng: SimRng,
-    /// Completion times of messages still queued or in service.
-    completions: VecDeque<Duration>,
-    last_completion: Duration,
-    horizon: Duration,
-    tally: Arc<Mutex<ModelTally>>,
-}
-
-impl ModelTransport {
-    fn new(model: ServiceModel, horizon: Duration, tally: Arc<Mutex<ModelTally>>) -> Self {
-        Self {
-            model,
-            rng: SimRng::seed_from_u64(7),
-            completions: VecDeque::new(),
-            last_completion: Duration::ZERO,
-            horizon,
-            tally,
-        }
+    clients: usize,
+    arrivals: ArrivalProcess,
+    run_for: Duration,
+) -> PubSubScenario {
+    PubSubScenario {
+        publishers: vec![
+            PublisherSpec {
+                arrivals,
+                body_bytes: BODY_BYTES,
+            };
+            clients
+        ],
+        subscribers: 1,
+        model,
+        production_period: run_for,
+        drain_limit: MODEL_DRAIN,
+        seed: 1_000_000,
     }
 }
 
-impl Transport for ModelTransport {
-    fn send(
-        &mut self,
-        _client: u32,
-        _seq: u64,
-        intended: Duration,
-        now: Duration,
-    ) -> SendDisposition {
-        while self.completions.front().is_some_and(|&at| at <= now) {
-            self.completions.pop_front();
-        }
-        if let Some(capacity) = self.model.queue_capacity() {
-            if self.completions.len() >= capacity {
-                // Flow control: a slot frees when the head-of-line message
-                // completes. Jitter spreads the blocked clients' retries so
-                // they do not stampede the freed slot in lockstep.
-                let head = *self.completions.front().expect("non-empty full queue");
-                let jitter = Duration::from_secs_f64(self.rng.uniform(0.5e-3, 30e-3));
-                return SendDisposition::RetryAfter(head.saturating_sub(now) + jitter);
-            }
-        }
-        let backlog = self.completions.len();
-        let start = self.last_completion.max(now);
-        let completion = start + self.model.service_time(backlog, BODY_BYTES);
-        self.last_completion = completion;
-        self.completions.push_back(completion);
-        let delivered_at = completion + self.model.delivery_latency(&mut self.rng);
-        let mut tally = self.tally.lock().expect("tally lock");
-        tally.admitted += 1;
-        if completion <= self.horizon {
-            tally.completed_in_window += 1;
-            if completion > self.horizon / 2 {
-                tally.completed_steady += 1;
-            }
-        }
-        tally.latency.record(delivered_at.saturating_sub(intended));
-        SendDisposition::Sent
-    }
+/// The intended send time a model message was stamped with.
+fn intended(record: &MessageRecord) -> Timestamp {
+    let nanos = record
+        .properties
+        .get(INTENDED_NS_PROP)
+        .and_then(Value::as_i64);
+    Timestamp::from_nanos(nanos.expect("model sends are stamped") as u64)
 }
 
 struct ModelPoint {
@@ -315,10 +279,14 @@ struct ModelPoint {
     /// steady-state rate once the backlog has built, which is where the
     /// thrashing provider's collapse shows.
     steady_per_sec: f64,
-    retries: u64,
+    /// Intended → accepted send time: the flow control's hold on senders.
+    send_lag: LogHistogram,
+    /// Intended send → delivery (coordinated-omission-safe).
     latency: LogHistogram,
 }
 
+/// One open-loop run of `model` in virtual time: `clients` Poisson
+/// clients offering `offered_per_sec` in total, measured from the trace.
 fn model_point(
     name: &'static str,
     model: ServiceModel,
@@ -326,78 +294,194 @@ fn model_point(
     offered_per_sec: f64,
     run_for: Duration,
 ) -> ModelPoint {
-    let tally = Arc::new(Mutex::new(ModelTally::default()));
-    let transport = ModelTransport::new(model, run_for, Arc::clone(&tally));
-    let per_client = offered_per_sec / clients as f64;
-    let specs: Vec<ClientSpec> = (0..clients)
-        .map(|index| {
-            ClientSpec::new(
-                ArrivalProcess::poisson(per_client)
-                    .generator(SimRng::seed_from_u64(1_000_000 + index as u64)),
-            )
-        })
-        .collect();
-    // One worker = one server: the model is a single queue, so all
-    // clients multiplex onto a single engine worker.
-    let report = LoadEngine::new(1).run(specs, vec![Box::new(transport)], Some(run_for), None);
-    let tally = Arc::into_inner(tally)
-        .expect("sole tally owner")
-        .into_inner()
-        .expect("tally lock");
-    ModelPoint {
+    let arrivals = ArrivalProcess::poisson(offered_per_sec / clients as f64);
+    let trace = model_scenario(model, clients, arrivals, run_for).run(Duration::ZERO);
+    let end = Timestamp::ZERO + run_for;
+    let half = Timestamp::ZERO + run_for / 2;
+    let mut point = ModelPoint {
         model: name,
         clients,
         offered_per_sec,
-        admitted: tally.admitted,
-        delivered_per_sec: tally.completed_in_window as f64 / run_for.as_secs_f64(),
-        steady_per_sec: tally.completed_steady as f64 / (run_for.as_secs_f64() / 2.0),
-        retries: report.retries,
-        latency: tally.latency,
+        admitted: 0,
+        delivered_per_sec: 0.0,
+        steady_per_sec: 0.0,
+        send_lag: LogHistogram::new(),
+        latency: LogHistogram::new(),
+    };
+    let (mut delivered, mut steady) = (0u64, 0u64);
+    for event in &trace {
+        match &event.kind {
+            EventKind::Send { record, .. } => {
+                point.admitted += 1;
+                point
+                    .send_lag
+                    .record(event.at.saturating_since(intended(record)));
+            }
+            EventKind::Receive { record, .. } => {
+                point
+                    .latency
+                    .record(event.at.saturating_since(intended(record)));
+                delivered += u64::from(event.at <= end);
+                steady += u64::from(event.at > half && event.at <= end);
+            }
+            _ => {}
+        }
     }
+    point.delivered_per_sec = delivered as f64 / run_for.as_secs_f64();
+    point.steady_per_sec = steady as f64 / (run_for.as_secs_f64() / 2.0);
+    point
 }
 
 // ---------------------------------------------------------------------------
 // Experiment 3: coordinated omission — open vs closed loop
 // ---------------------------------------------------------------------------
 
-/// Closed-loop measurement of the same model in virtual time: each client
-/// waits for its previous response before the next send, and latency is
-/// measured from the *actual* send — the classic benchmark loop that
-/// coordinates with the server and omits the waiting time.
+/// The closed loop's worker state: the model, and per client the waker
+/// to call and the delivery time of its outstanding message.
+struct ClosedLoop {
+    transport: ModelTransport,
+    clients: Vec<(Option<Waker>, Option<Timestamp>)>,
+    server: Option<Waker>,
+}
+
+impl ClosedLoop {
+    /// Serves the model up to `now`, waking each client whose message
+    /// was served.
+    fn advance(&mut self, now: Timestamp) {
+        let clients = &mut self.clients;
+        self.transport.advance(now, |client, delivered| {
+            let (waker, slot) = &mut clients[client as usize];
+            *slot = Some(delivered);
+            if let Some(waker) = waker.take() {
+                waker.wake();
+            }
+        });
+    }
+}
+
+/// Serves each message at its exact completion time, so no client has
+/// to poll for its own delivery.
+struct Server;
+
+impl Task for Server {
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll {
+        if cx.stopping() {
+            return Poll::Ready;
+        }
+        let now = Timestamp::ZERO + cx.now();
+        let waker = cx.waker();
+        let state = cx.state_mut::<ClosedLoop>().expect("closed-loop state");
+        state.advance(now);
+        // A send to an idle model wakes the server to arm its timer.
+        state.server = Some(waker);
+        if let Some(next) = state.transport.next_completion() {
+            cx.wake_at_nanos(next.as_nanos());
+        }
+        Poll::Pending
+    }
+}
+
+/// A closed-loop client: it sends, waits for its own delivery, and sends
+/// again no sooner than `gap` after its previous send.
+struct ClosedClient {
+    id: u32,
+    gap: Duration,
+    next_send: Duration,
+    sent: u64,
+    waiting: bool,
+}
+
+impl Task for ClosedClient {
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll {
+        if cx.stopping() {
+            return Poll::Ready;
+        }
+        let now = cx.now();
+        let waker = cx.waker();
+        let state = cx.state_mut::<ClosedLoop>().expect("closed-loop state");
+        if self.waiting {
+            // The server hands the delivery time over when it serves the
+            // message; the next send waits for it.
+            let Some(delivered) = state.clients[self.id as usize].1.take() else {
+                return Poll::Pending;
+            };
+            self.waiting = false;
+            self.next_send = self.next_send.max(delivered - Timestamp::ZERO);
+        }
+        if now < self.next_send {
+            cx.wake_at_nanos(self.next_send.as_nanos() as u64);
+            return Poll::Pending;
+        }
+        let at = Timestamp::ZERO + now;
+        state.advance(at);
+        match state.transport.publish(self.id, self.sent, at, at) {
+            Ok(()) => {
+                self.sent += 1;
+                self.waiting = true;
+                self.next_send = now + self.gap;
+                state.clients[self.id as usize].0 = Some(waker);
+                if let Some(server) = state.server.take() {
+                    server.wake();
+                }
+            }
+            Err(free_at) => cx.wake_at_nanos(free_at.as_nanos()),
+        }
+        Poll::Pending
+    }
+}
+
+/// Closed-loop measurement of the same model in virtual time: each
+/// client waits for its previous delivery before the next send, and
+/// latency is measured from the *actual* send — the classic benchmark
+/// loop that coordinates with the server and omits the waiting time.
 fn closed_loop_latency(
-    model: &ServiceModel,
+    model: ServiceModel,
     clients: usize,
     per_client_gap: Duration,
     run_for: Duration,
 ) -> LogHistogram {
+    let clock = Arc::new(VirtualClock::new());
+    let recorder = Recorder::new();
+    let arrivals = ArrivalProcess::steady(1.0 / per_client_gap.as_secs_f64());
+    let transport = ModelTransport::new(
+        &model_scenario(model, clients, arrivals, run_for),
+        recorder.node(NodeId::from_raw(0), clock.clone()),
+    );
+    let mut reactor = Reactor::new(1).with_clock(Arc::new(ClockSource(clock)));
+    reactor.set_worker_state(
+        0,
+        Box::new(ClosedLoop {
+            transport,
+            clients: (0..clients).map(|_| (None, None)).collect(),
+            server: None,
+        }),
+    );
+    reactor.spawn_on(0, Box::new(Server));
     let mut rng = SimRng::seed_from_u64(13);
+    for id in 0..clients as u32 {
+        let first = per_client_gap.mul_f64(rng.uniform(0.0, 1.0));
+        let client = ClosedClient {
+            id,
+            gap: per_client_gap,
+            next_send: first,
+            sent: 0,
+            waiting: false,
+        };
+        reactor.spawn_at(0, first.as_nanos() as u64, Box::new(client));
+    }
+    let mut outcome = reactor.run(None, Some(run_for));
+    let mut state = outcome.worker_states[0]
+        .take()
+        .expect("closed-loop state")
+        .downcast::<ClosedLoop>()
+        .expect("closed-loop state type");
+    state.transport.finish();
     let mut latency = LogHistogram::new();
-    let mut completions: VecDeque<Duration> = VecDeque::new();
-    let mut last_completion = Duration::ZERO;
-    // Min-heap of (next send time, client).
-    let mut ready: BinaryHeap<std::cmp::Reverse<(Duration, usize)>> = (0..clients)
-        .map(|client| std::cmp::Reverse((per_client_gap.mul_f64(rng.uniform(0.0, 1.0)), client)))
-        .collect();
-    while let Some(std::cmp::Reverse((now, client))) = ready.pop() {
-        if now > run_for {
-            break;
+    for event in &recorder.into_trace() {
+        if let EventKind::Receive { record, .. } = &event.kind {
+            // Measured from the actual send time — the omission.
+            latency.record(event.at.saturating_since(record.sent_at));
         }
-        while completions.front().is_some_and(|&at| at <= now) {
-            completions.pop_front();
-        }
-        let backlog = completions.len();
-        let start = last_completion.max(now);
-        let completion = start + model.service_time(backlog, BODY_BYTES);
-        last_completion = completion;
-        completions.push_back(completion);
-        let delivered_at = completion + model.delivery_latency(&mut rng);
-        // Measured from the actual send time — the omission.
-        latency.record(delivered_at.saturating_sub(now));
-        // The client blocks on its response, then paces the next send.
-        ready.push(std::cmp::Reverse((
-            delivered_at.max(now + per_client_gap),
-            client,
-        )));
     }
     latency
 }
@@ -495,7 +579,7 @@ fn main() {
     } else {
         vec![1_000.0, 4_000.0, 8_000.0, 16_000.0, 32_000.0]
     };
-    println!("== Model crossover: {model_clients} clients vs time-compressed Providers I/II ==");
+    println!("== Model crossover: {model_clients} clients vs ×50 Providers I/II, virtual time ==");
     let mut model_points = Vec::new();
     for &(name, ref model) in &[
         ("plateau", scaled_provider_one()),
@@ -505,13 +589,13 @@ fn main() {
         for &offered in &demands {
             let point = model_point(name, model.clone(), model_clients, offered, model_run);
             println!(
-                "    offered {:>8.0} msg/s → delivered {:>8.0} msg/s, steady {:>8.0} msg/s   (admitted {:>6}, {:>6} retries)",
+                "    offered {:>8.0} msg/s → delivered {:>8.0} msg/s, steady {:>8.0} msg/s   (admitted {:>6})",
                 point.offered_per_sec,
                 point.delivered_per_sec,
                 point.steady_per_sec,
                 point.admitted,
-                point.retries,
             );
+            print_histogram_row("send lag ", &point.send_lag);
             print_histogram_row("latency  ", &point.latency);
             model_points.push(point);
         }
@@ -542,7 +626,7 @@ fn main() {
         co_run,
     );
     let per_client_gap = Duration::from_secs_f64(co_clients as f64 / co_offered);
-    let closed = closed_loop_latency(&co_model, co_clients, per_client_gap, co_run);
+    let closed = closed_loop_latency(co_model, co_clients, per_client_gap, co_run);
     print_histogram_row("open loop  ", &open.latency);
     print_histogram_row("closed loop", &closed);
     let open_p99 = micros(open.latency.quantile(0.99));
@@ -555,7 +639,7 @@ fn main() {
 
     // --- BENCH_loadgen.json ------------------------------------------------
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"jmst-loadgen-v1\",\n");
+    json.push_str("{\n  \"schema\": \"jmst-loadgen-v2\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str("  \"broker\": [\n");
     for (index, point) in broker_points.iter().enumerate() {
@@ -575,14 +659,14 @@ fn main() {
     json.push_str("  ],\n  \"models\": [\n");
     for (index, point) in model_points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"clients\": {}, \"offered_msgs_per_sec\": {:.1}, \"admitted\": {}, \"delivered_msgs_per_sec\": {:.1}, \"steady_msgs_per_sec\": {:.1}, \"retries\": {}, \"latency\": {}}}{}\n",
+            "    {{\"model\": \"{}\", \"clients\": {}, \"offered_msgs_per_sec\": {:.1}, \"admitted\": {}, \"delivered_msgs_per_sec\": {:.1}, \"steady_msgs_per_sec\": {:.1}, \"send_lag\": {}, \"latency\": {}}}{}\n",
             point.model,
             point.clients,
             point.offered_per_sec,
             point.admitted,
             point.delivered_per_sec,
             point.steady_per_sec,
-            point.retries,
+            quantiles_json(&point.send_lag),
             quantiles_json(&point.latency),
             if index + 1 < model_points.len() { "," } else { "" },
         ));

@@ -12,14 +12,14 @@
 //!   selectors);
 //! * [`broker`] — the reference in-process broker with fault injection
 //!   and crash/recovery;
-//! * [`sim`] — the discrete-event simulation substrate and queueing
+//! * [`sim`] — virtual time, workload distributions, and the queueing
 //!   models of the paper's Provider I / Provider II;
 //! * [`store`] — execution traces, event sinks, and the campaign
 //!   journal;
 //! * [`core`] — the formal model: Definitions 1–7, Properties 1–5, and
 //!   the §3.2 performance analysis;
-//! * [`harness`] — test specs, the live runner, crash injection, and
-//!   the daemon prince;
+//! * [`harness`] — test specs, the live runner, crash injection, the
+//!   daemon prince, and the service-model runs behind Figures 2 and 3;
 //! * [`props`] — the QoS property DSL: parse, statically verify, and
 //!   compile named assertions onto the streaming checker core;
 //! * [`reactor`] — the readiness-driven scheduler under the broker
@@ -71,7 +71,8 @@ pub mod prelude {
     pub use jmst_core::{
         AnalysisConfig, AnalysisReport, Analyzer, ExpiryModel, PropertyKind, StreamingAnalyzer,
     };
+    pub use jmst_harness::model::{PubSubScenario, PublisherSpec};
     pub use jmst_harness::prelude::*;
-    pub use jmst_sim::{ArrivalProcess, PubSubScenario, PublisherSpec, ServiceModel};
+    pub use jmst_sim::{ArrivalProcess, ServiceModel};
     pub use jmst_store::{Recorder, Trace};
 }
