@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the property DSL's compiled checkers:
 //! the full built-in property pass against its DSL-compiled twin (the
-//! mirrors must stay within ~10% of the checkers they wrap), and the
-//! marginal cost of the new QoS checkers on top.
+//! built-in names compile to the same checker structs, so the twin must
+//! stay within ~10% of the default table), and the marginal cost of the
+//! new QoS checkers on top.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jmst_core::{AnalysisConfig, Analyzer, CheckerRegistry};

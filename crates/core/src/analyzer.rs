@@ -3,58 +3,36 @@
 //! the paper's battery of SQL statements, re-expressed as one pass of
 //! incremental checkers.
 //!
-//! [`StreamingAnalyzer`] is the single implementation: it owns one
-//! incremental checker per enabled property and feeds each raw event to
-//! all of them. [`Analyzer::analyze`] is the batch driver — it replays a
-//! recorded [`Trace`] through the same streaming core, so batch and
-//! streaming verdicts are equal by construction.
+//! [`StreamingAnalyzer`] is the single implementation: it owns one table
+//! of [`PropertyChecker`]s and feeds each raw event to every row. The
+//! built-in checks [`AnalysisConfig`] switches on come first, in a fixed
+//! check order; the rows of a [`CheckerRegistry`] (the property DSL's
+//! declarations, built-in names included) follow them. [`Analyzer::analyze`]
+//! is the batch driver — it replays a recorded [`Trace`] through the same
+//! streaming core, so batch and streaming verdicts are equal by
+//! construction.
 
 use crate::config::AnalysisConfig;
 use crate::perf::{PerfAccumulator, PerformanceReport};
 use crate::properties::duplicates::{DuplicatesChecker, RedeliveryBoundChecker};
-use crate::properties::expiry::{ExpiryBreakdown, ExpiryChecker, FitAccumulator};
+use crate::properties::expiry::{ExpiryBreakdown, ExpiryCheck};
 use crate::properties::integrity::IntegrityChecker;
 use crate::properties::ordering::OrderingChecker;
 use crate::properties::priority::{PriorityChecker, StrictPriorityChecker};
 use crate::properties::required::RequiredChecker;
+pub use crate::properties::PropertyChecker;
 use crate::violation::{PropertyKind, Violation};
 use jmst_store::event::{Event, EventKind};
-use jmst_store::stats::DelayHistogram;
 use jmst_store::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// One incremental checker for a named (DSL-declared) property, driven
-/// through the same observe/finish lifecycle as the built-in checkers.
-///
-/// `live_violations` mirrors the built-ins' `violations_so_far`: a
-/// checker that can convict mid-stream reports a running count there so
-/// the harness's fail-fast watcher sees it; finish-only checkers leave
-/// the default `0`.
-pub trait PropertyChecker: fmt::Debug + Send {
-    /// Feeds one event in canonical `(at, seq)` order.
-    fn observe(&mut self, event: &Event);
-
-    /// Violations already decidable mid-stream.
-    fn live_violations(&self) -> usize {
-        0
-    }
-
-    /// Estimated resident state, in bytes.
-    fn state_bytes(&self) -> usize {
-        0
-    }
-
-    /// Finishes the checker and reports its violations.
-    fn finish(self: Box<Self>) -> Vec<Violation>;
-}
-
 type CheckerFactory = Arc<dyn Fn() -> Box<dyn PropertyChecker> + Send + Sync>;
 
-/// A set of named property checkers to instantiate alongside the
-/// built-ins on every streaming pass. Cloning shares the factories.
+/// A set of named property checkers to instantiate after the built-ins
+/// on every streaming pass. Cloning shares the factories.
 #[derive(Clone, Default)]
 pub struct CheckerRegistry {
     factories: Vec<(String, CheckerFactory)>,
@@ -90,11 +68,9 @@ impl CheckerRegistry {
         self.factories.is_empty()
     }
 
-    fn instantiate(&self) -> Vec<(String, Box<dyn PropertyChecker>)> {
-        self.factories
-            .iter()
-            .map(|(name, factory)| (name.clone(), factory()))
-            .collect()
+    /// Appends every row of `other` after this registry's own.
+    pub fn append(&mut self, other: CheckerRegistry) {
+        self.factories.extend(other.factories);
     }
 }
 
@@ -190,30 +166,88 @@ impl fmt::Display for AnalysisReport {
     }
 }
 
+/// One row of the analyzer's property table.
+#[derive(Debug)]
+enum Row {
+    /// A built-in check: its violations go into the report's list only.
+    Builtin(Box<dyn PropertyChecker>),
+    /// The built-in expiry check, kept concrete so its per-end-point
+    /// breakdowns reach [`AnalysisReport::expiry`].
+    Expiry(Box<ExpiryCheck>),
+    /// A named checker: also reported as its own outcome row.
+    Named(String, Box<dyn PropertyChecker>),
+}
+
+impl Row {
+    fn checker(&self) -> &dyn PropertyChecker {
+        match self {
+            Row::Builtin(checker) | Row::Named(_, checker) => checker.as_ref(),
+            Row::Expiry(check) => check.as_ref(),
+        }
+    }
+
+    fn checker_mut(&mut self) -> &mut dyn PropertyChecker {
+        match self {
+            Row::Builtin(checker) | Row::Named(_, checker) => checker.as_mut(),
+            Row::Expiry(check) => check.as_mut(),
+        }
+    }
+}
+
+/// The built-in rows `config` switches on, in check order: integrity,
+/// required, ordering, priority (and strict priority), expiry,
+/// duplicates, redelivery bound.
+fn builtin_table(config: &AnalysisConfig) -> Vec<Row> {
+    fn builtin(checker: impl PropertyChecker + 'static) -> Row {
+        Row::Builtin(Box::new(checker))
+    }
+    let priority = config.priority;
+    [
+        config
+            .check_integrity
+            .then(|| builtin(IntegrityChecker::new())),
+        config
+            .check_required
+            .then(|| builtin(RequiredChecker::new())),
+        config
+            .check_ordering
+            .then(|| builtin(OrderingChecker::new())),
+        config
+            .check_priority
+            .then(|| builtin(PriorityChecker::new(priority))),
+        (config.check_priority && priority.strict)
+            .then(|| builtin(StrictPriorityChecker::new(priority.strict_slack))),
+        config
+            .check_expiry
+            .then(|| Row::Expiry(Box::new(ExpiryCheck::new(config)))),
+        config
+            .check_duplicates
+            .then(|| builtin(DuplicatesChecker::new())),
+        config
+            .redelivery_bound
+            .map(|bound| builtin(RedeliveryBoundChecker::new(bound))),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// One-pass incremental analyzer: feed events as they happen, finish for
 /// the report.
 ///
 /// Violations that are decidable mid-stream (ordering, duplicates,
-/// redelivery-bound) surface through [`violations_so_far`] while the run
-/// is still in flight — the harness's fail-fast mode polls it. The other
-/// properties need the end of the trace to distinguish a violation from
-/// in-flight latency and only report at [`finish`].
+/// redelivery-bound, and named checkers such as deadlines) surface
+/// through [`violations_so_far`] while the run is still in flight — the
+/// harness's fail-fast mode polls it. The other properties need the end
+/// of the trace to distinguish a violation from in-flight latency and
+/// only report at [`finish`].
 ///
 /// [`violations_so_far`]: StreamingAnalyzer::violations_so_far
 /// [`finish`]: StreamingAnalyzer::finish
 #[derive(Debug)]
 pub struct StreamingAnalyzer {
     config: AnalysisConfig,
-    integrity: Option<IntegrityChecker>,
-    required: Option<RequiredChecker>,
-    ordering: Option<OrderingChecker>,
-    priority: Option<PriorityChecker>,
-    strict: Option<StrictPriorityChecker>,
-    fit: Option<FitAccumulator>,
-    expiry: Option<ExpiryChecker>,
-    duplicates: Option<DuplicatesChecker>,
-    redelivery: Option<RedeliveryBoundChecker>,
-    named: Vec<(String, Box<dyn PropertyChecker>)>,
+    table: Vec<Row>,
     perf: PerfAccumulator,
     events: usize,
     sends: usize,
@@ -221,29 +255,12 @@ pub struct StreamingAnalyzer {
 }
 
 impl StreamingAnalyzer {
-    /// Creates a streaming analyzer with the given configuration.
+    /// Creates a streaming analyzer running the built-in checks the
+    /// configuration switches on.
     pub fn new(config: AnalysisConfig) -> Self {
-        let perf = PerfAccumulator::new(config.histogram_bucket, config.histogram_buckets);
         Self {
-            integrity: config.check_integrity.then(IntegrityChecker::new),
-            required: config.check_required.then(RequiredChecker::new),
-            ordering: config.check_ordering.then(OrderingChecker::new),
-            priority: config
-                .check_priority
-                .then(|| PriorityChecker::new(config.priority)),
-            strict: (config.check_priority && config.priority.strict)
-                .then(|| StrictPriorityChecker::new(config.priority.strict_slack)),
-            fit: config.check_expiry.then(|| {
-                FitAccumulator::new(DelayHistogram::new(
-                    config.histogram_bucket,
-                    config.histogram_buckets,
-                ))
-            }),
-            expiry: config.check_expiry.then(ExpiryChecker::new),
-            duplicates: config.check_duplicates.then(DuplicatesChecker::new),
-            redelivery: config.redelivery_bound.map(RedeliveryBoundChecker::new),
-            named: Vec::new(),
-            perf,
+            table: builtin_table(&config),
+            perf: PerfAccumulator::new(config.histogram_bucket, config.histogram_buckets),
             config,
             events: 0,
             sends: 0,
@@ -256,16 +273,16 @@ impl StreamingAnalyzer {
         &self.config
     }
 
-    /// Attaches a named property checker, fed every event alongside the
-    /// built-ins and reported as its own row at [`finish`].
+    /// Appends a named property checker to the table, fed every event
+    /// after the built-ins and reported as its own row at [`finish`].
     ///
     /// [`finish`]: StreamingAnalyzer::finish
     pub fn register(&mut self, name: impl Into<String>, checker: Box<dyn PropertyChecker>) {
-        self.named.push((name.into(), checker));
+        self.table.push(Row::Named(name.into(), checker));
     }
 
-    /// Feeds one event, in canonical `(at, seq)` order, to every enabled
-    /// checker.
+    /// Feeds one event, in canonical `(at, seq)` order, to every row of
+    /// the table.
     pub fn observe(&mut self, event: &Event) {
         self.events += 1;
         match &event.kind {
@@ -273,35 +290,8 @@ impl StreamingAnalyzer {
             EventKind::Receive { .. } => self.receives += 1,
             _ => {}
         }
-        if let Some(checker) = &mut self.integrity {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.required {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.ordering {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.priority {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.strict {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.fit {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.expiry {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.duplicates {
-            checker.observe(event);
-        }
-        if let Some(checker) = &mut self.redelivery {
-            checker.observe(event);
-        }
-        for (_, checker) in &mut self.named {
-            checker.observe(event);
+        for row in &mut self.table {
+            row.checker_mut().observe(event);
         }
         self.perf.observe(event);
     }
@@ -311,116 +301,55 @@ impl StreamingAnalyzer {
         self.events
     }
 
-    /// Number of violations already decidable mid-stream (ordering,
-    /// duplicate-delivery, and redelivery-bound breaches). A non-zero
+    /// Number of violations already decidable mid-stream. A non-zero
     /// value is definitive — the final report will contain at least these.
     pub fn violations_so_far(&self) -> usize {
-        self.ordering
-            .as_ref()
-            .map_or(0, OrderingChecker::violations_so_far)
-            + self
-                .duplicates
-                .as_ref()
-                .map_or(0, DuplicatesChecker::violations_so_far)
-            + self
-                .redelivery
-                .as_ref()
-                .map_or(0, RedeliveryBoundChecker::violations_so_far)
-            + self
-                .named
-                .iter()
-                .map(|(_, checker)| checker.live_violations())
-                .sum::<usize>()
+        self.table
+            .iter()
+            .map(|row| row.checker().live_violations())
+            .sum()
     }
 
     /// An estimate of the resident state across all checkers, in bytes.
     /// The streaming pipeline's memory story rests on this staying far
     /// below the size of the materialised trace.
     pub fn state_bytes(&self) -> usize {
-        self.integrity
-            .as_ref()
-            .map_or(0, IntegrityChecker::state_bytes)
-            + self
-                .required
-                .as_ref()
-                .map_or(0, RequiredChecker::state_bytes)
-            + self
-                .ordering
-                .as_ref()
-                .map_or(0, OrderingChecker::state_bytes)
-            + self
-                .priority
-                .as_ref()
-                .map_or(0, PriorityChecker::state_bytes)
-            + self
-                .strict
-                .as_ref()
-                .map_or(0, StrictPriorityChecker::state_bytes)
-            + self.fit.as_ref().map_or(0, FitAccumulator::state_bytes)
-            + self.expiry.as_ref().map_or(0, ExpiryChecker::state_bytes)
-            + self
-                .duplicates
-                .as_ref()
-                .map_or(0, DuplicatesChecker::state_bytes)
-            + self
-                .redelivery
-                .as_ref()
-                .map_or(0, RedeliveryBoundChecker::state_bytes)
-            + self
-                .named
-                .iter()
-                .map(|(_, checker)| checker.state_bytes())
-                .sum::<usize>()
+        self.table
+            .iter()
+            .map(|row| row.checker().state_bytes())
+            .sum::<usize>()
             + self.perf.state_bytes()
     }
 
-    /// Finishes every checker and assembles the report, with violations
-    /// in the fixed check order: integrity, required, ordering, priority
-    /// (and strict priority), expiry, duplicates, redelivery bound, then
-    /// the named property checkers in registration order.
+    /// Finishes every row and assembles the report, with violations in
+    /// table order: the built-ins in check order, then the named
+    /// checkers in registration order.
     pub fn finish(self) -> AnalysisReport {
         let mut violations = Vec::new();
-        if let Some(checker) = self.integrity {
-            violations.extend(checker.finish());
-        }
-        if let Some(checker) = self.required {
-            violations.extend(checker.finish());
-        }
-        if let Some(checker) = self.ordering {
-            violations.extend(checker.finish());
-        }
-        if let Some(checker) = self.priority {
-            violations.extend(checker.finish());
-        }
-        if let Some(checker) = self.strict {
-            violations.extend(checker.finish());
-        }
-        let mut expiry_breakdowns = Vec::new();
-        if let (Some(fit), Some(checker)) = (self.fit, self.expiry) {
-            let fitted = fit.finish(&self.config.expiry);
-            let (expiry_violations, breakdowns) = checker.finish(&self.config.expiry, &fitted);
-            violations.extend(expiry_violations);
-            expiry_breakdowns = breakdowns;
-        }
-        if let Some(checker) = self.duplicates {
-            violations.extend(checker.finish());
-        }
-        if let Some(checker) = self.redelivery {
-            violations.extend(checker.finish());
-        }
-        let mut named = Vec::with_capacity(self.named.len());
-        for (name, checker) in self.named {
-            let found = checker.finish();
-            named.push(NamedPropertyOutcome {
-                name,
-                violations: found.len(),
-            });
-            violations.extend(found);
+        let mut expiry = Vec::new();
+        let mut named = Vec::new();
+        for row in self.table {
+            match row {
+                Row::Builtin(checker) => violations.extend(checker.finish()),
+                Row::Expiry(check) => {
+                    let (found, breakdowns) = check.judge();
+                    violations.extend(found);
+                    expiry = breakdowns;
+                }
+                Row::Named(name, checker) => {
+                    let found = checker.finish();
+                    named.push(NamedPropertyOutcome {
+                        name,
+                        violations: found.len(),
+                    });
+                    violations.extend(found);
+                }
+            }
         }
         AnalysisReport {
             violations,
             performance: self.perf.finish(),
-            expiry: expiry_breakdowns,
+            expiry,
             events_analyzed: self.events,
             sends: self.sends,
             receives: self.receives,
@@ -467,10 +396,13 @@ impl Analyzer {
         &self.registry
     }
 
-    /// Starts a streaming pass with this analyzer's configuration.
+    /// Starts a streaming pass: the configured built-ins, then one
+    /// checker per registered factory.
     pub fn streaming(&self) -> StreamingAnalyzer {
         let mut streaming = StreamingAnalyzer::new(self.config);
-        streaming.named = self.registry.instantiate();
+        for (name, factory) in &self.registry.factories {
+            streaming.register(name.clone(), factory());
+        }
         streaming
     }
 
@@ -620,6 +552,78 @@ mod tests {
         assert!(seen_live);
         let report = streaming.finish();
         assert_eq!(report.count_of(PropertyKind::DuplicateDelivery), 1);
+    }
+
+    #[test]
+    fn report_lists_violations_in_table_order_then_named_rows() {
+        /// A `deadline 3ms` row: every receive later than 3 ms after its
+        /// send convicts.
+        #[derive(Debug, Default)]
+        struct Deadline(Vec<Violation>);
+        impl PropertyChecker for Deadline {
+            fn observe(&mut self, event: &Event) {
+                if let EventKind::Receive {
+                    endpoint, record, ..
+                } = &event.kind
+                {
+                    let observed = event.at.saturating_since(record.sent_at);
+                    if observed > std::time::Duration::from_millis(3) {
+                        self.0.push(Violation::DeadlineMissed {
+                            property: "late".to_owned(),
+                            message: record.message,
+                            endpoint: endpoint.clone(),
+                            deadline: std::time::Duration::from_millis(3),
+                            observed,
+                        });
+                    }
+                }
+            }
+            fn finish(self: Box<Self>) -> Vec<Violation> {
+                self.0
+            }
+        }
+
+        let mut over_limit = rec(4, 1, 3);
+        over_limit.delivery_count = 5;
+        let trace = TraceBuilder::new()
+            .send(1, 1, 0)
+            .send(2, 1, 1)
+            .send(3, 1, 2) // never delivered: P2
+            .send_rec(rec(4, 1, 3), None)
+            .receive_q(2, 1, 1)
+            .receive_q(1, 1, 0) // overtaken by 2: P3
+            .at(10)
+            .receive_q(1, 1, 0) // second delivery: duplicates; late from here on
+            .receive_rec(default_queue_endpoint(), 50, over_limit, None) // count 5 > 1 + 1
+            .receive_q(99, 7, 0) // never sent: P1
+            .build();
+        let mut registry = CheckerRegistry::new();
+        registry.register("late", || Box::new(Deadline::default()));
+        let report = Analyzer::with_config(AnalysisConfig::default().with_redelivery_bound(1))
+            .with_registry(registry)
+            .analyze(&trace);
+        let kinds: Vec<PropertyKind> = report.violations.iter().map(Violation::property).collect();
+        assert_eq!(
+            kinds,
+            [
+                PropertyKind::DeliveryIntegrity,
+                PropertyKind::RequiredMessages,
+                PropertyKind::MessageOrdering,
+                PropertyKind::DuplicateDelivery,
+                PropertyKind::BoundedRedelivery,
+                PropertyKind::Deadline,
+                PropertyKind::Deadline,
+                PropertyKind::Deadline,
+            ],
+            "{report}"
+        );
+        assert_eq!(
+            report.named,
+            [NamedPropertyOutcome {
+                name: "late".to_owned(),
+                violations: 3,
+            }]
+        );
     }
 
     #[test]

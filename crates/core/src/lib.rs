@@ -19,9 +19,9 @@
 //! * [`perf`] — the §3.2 performance measures: producer/consumer
 //!   throughput in messages and bytes per second, delay min/max/mean/σ,
 //!   and the per-producer / per-consumer unfairness measures;
-//! * [`analyzer`] — [`StreamingAnalyzer`] feeds every event through the
-//!   incremental checkers in one pass; [`Analyzer`] is the batch driver
-//!   that replays a recorded trace through it and builds an
+//! * [`analyzer`] — [`StreamingAnalyzer`] feeds every event through one
+//!   table of [`PropertyChecker`]s in one pass; [`Analyzer`] is the batch
+//!   driver that replays a recorded trace through it and builds an
 //!   [`AnalysisReport`];
 //! * [`stream`] — the building blocks of the incremental checkers:
 //!   transaction resolution, run-window gating, selector tracking;

@@ -10,7 +10,7 @@
 //! [`WindowGate`]s that preserve accumulation order, so batch and
 //! streaming runs produce bit-identical floating-point statistics.
 
-use crate::stream::{Resolved, RunWindowTracker, TxResolver, WindowGate};
+use crate::stream::{RunWindowTracker, TxResolver, WindowGate};
 use jmst_api::id::{ConsumerId, ProducerId};
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind};
@@ -219,15 +219,9 @@ impl PerfAccumulator {
     /// Feeds one raw trace event to the accumulator.
     pub fn observe(&mut self, event: &Event) {
         self.window.note(event);
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
         self.drain();
     }
 

@@ -17,21 +17,20 @@
 //! on the dead-letter queue instead of being delivered again.
 //!
 //! Both checks are incremental ([`DuplicatesChecker`],
-//! [`RedeliveryBoundChecker`]); the batch entry points drive whole traces
-//! through the same cores. Settlement is resolved online: each delivery
+//! [`RedeliveryBoundChecker`]). Settlement is resolved online: each delivery
 //! registers on its session's waitlist, and the first later ack (or
 //! commit) by that session stamps every waiting delivery's
 //! `first_ack_after`, which is all a future redelivery needs to judge
 //! legitimacy.
 
-use crate::stream::{Resolved, TxResolver};
+use super::PropertyChecker;
+use crate::stream::TxResolver;
 use crate::violation::Violation;
 use jmst_api::destination::EndpointId;
 use jmst_api::id::{ConsumerId, MessageId, SessionId};
 use jmst_api::modes::SessionMode;
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind};
-use jmst_store::trace::Trace;
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
 
@@ -75,19 +74,6 @@ impl DuplicatesChecker {
     /// Creates an empty checker.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Feeds one raw trace event to the checker.
-    pub fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
     }
 
     fn settle_session(&mut self, session: SessionId, at: Timestamp) {
@@ -166,15 +152,22 @@ impl DuplicatesChecker {
             _ => {}
         }
     }
+}
+
+impl PropertyChecker for DuplicatesChecker {
+    fn observe(&mut self, event: &Event) {
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
+    }
 
     /// Number of duplicate deliveries detected so far (a live preview;
     /// the authoritative verdict is [`DuplicatesChecker::finish`]).
-    pub fn violations_so_far(&self) -> usize {
+    fn live_violations(&self) -> usize {
         self.preview
     }
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
+    fn state_bytes(&self) -> usize {
         let per_tally = mem::size_of::<(MessageId, EndpointId)>() + mem::size_of::<Tally>();
         let deliveries: usize = self
             .tallies
@@ -198,7 +191,7 @@ impl DuplicatesChecker {
     ///
     /// A consumer with no recorded lifecycle event is conservatively
     /// treated as strict (not dups-ok).
-    pub fn finish(self) -> Vec<Violation> {
+    fn finish(self: Box<Self>) -> Vec<Violation> {
         let modes = self.consumer_modes;
         self.tallies
             .into_iter()
@@ -221,15 +214,6 @@ impl DuplicatesChecker {
     }
 }
 
-/// Checks for duplicate deliveries across a whole trace.
-pub fn check(trace: &Trace) -> Vec<Violation> {
-    let mut checker = DuplicatesChecker::new();
-    for event in trace {
-        checker.observe(event);
-    }
-    checker.finish()
-}
-
 /// Incremental bounded-redelivery checker: no delivery may carry a
 /// `delivery_count` above `bound + 1` (the first delivery plus at most
 /// `bound` redeliveries).
@@ -247,20 +231,6 @@ impl RedeliveryBoundChecker {
             resolver: TxResolver::new(),
             bound,
             worst: BTreeMap::new(),
-        }
-    }
-
-    /// Feeds one raw trace event to the checker. Over-limit deliveries
-    /// are detected immediately.
-    pub fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
         }
     }
 
@@ -283,21 +253,29 @@ impl RedeliveryBoundChecker {
             *entry = (*entry).max(count);
         }
     }
+}
+
+impl PropertyChecker for RedeliveryBoundChecker {
+    /// Over-limit deliveries are detected immediately.
+    fn observe(&mut self, event: &Event) {
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
+    }
 
     /// Number of over-limit (end-point, message) pairs so far.
-    pub fn violations_so_far(&self) -> usize {
+    fn live_violations(&self) -> usize {
         self.worst.len()
     }
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
+    fn state_bytes(&self) -> usize {
         self.resolver.state_bytes()
             + self.worst.len() * (mem::size_of::<(MessageId, EndpointId)>() + mem::size_of::<u32>())
     }
 
     /// Finishes the check: one violation per (end-point, message) with
     /// the worst observed count, sorted by message.
-    pub fn finish(self) -> Vec<Violation> {
+    fn finish(self: Box<Self>) -> Vec<Violation> {
         let bound = self.bound;
         self.worst
             .into_iter()
@@ -313,15 +291,6 @@ impl RedeliveryBoundChecker {
     }
 }
 
-/// Checks the bounded-redelivery property over a whole trace.
-pub fn check_redelivery_bound(trace: &Trace, bound: u32) -> Vec<Violation> {
-    let mut checker = RedeliveryBoundChecker::new(bound);
-    for event in trace {
-        checker.observe(event);
-    }
-    checker.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,7 +299,7 @@ mod tests {
     #[test]
     fn single_delivery_passes() {
         let trace = TraceBuilder::new().send(1, 1, 0).receive_q(1, 1, 0).build();
-        assert!(check(&trace).is_empty());
+        assert!(check(DuplicatesChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -340,7 +309,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(1, 1, 0)
             .build();
-        let violations = check(&trace);
+        let violations = check(DuplicatesChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -357,7 +326,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_rec(default_queue_endpoint(), 50, redelivered, None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(DuplicatesChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -376,7 +345,7 @@ mod tests {
             .at(30)
             .receive_rec(default_queue_endpoint(), 50, redelivered, None)
             .build();
-        let violations = check(&trace);
+        let violations = check(DuplicatesChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -398,7 +367,7 @@ mod tests {
             .at(30)
             .receive_rec(default_queue_endpoint(), 50, redelivered, None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(DuplicatesChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -415,7 +384,7 @@ mod tests {
             .at(30)
             .ack_by(50)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(DuplicatesChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -427,7 +396,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(1, 1, 0)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(DuplicatesChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -440,7 +409,7 @@ mod tests {
             .receive_q_by(50, 1, 1, 0)
             .receive_q_by(51, 1, 1, 0)
             .build();
-        let violations = check(&trace);
+        let violations = check(DuplicatesChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
     }
 
@@ -459,7 +428,7 @@ mod tests {
             .receive_rec(sub_a, 60, record.clone(), None)
             .receive_rec(sub_b, 61, record, None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(DuplicatesChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -472,7 +441,7 @@ mod tests {
             .receive_q(2, 1, 1)
             .receive_q(2, 1, 1)
             .build();
-        let violations = check(&trace);
+        let violations = check(DuplicatesChecker::new(), &trace);
         assert_eq!(violations.len(), 2);
         assert!(matches!(
             &violations[0],
@@ -491,10 +460,10 @@ mod tests {
         let mut live = 0;
         for event in &trace {
             checker.observe(event);
-            live = live.max(checker.violations_so_far());
+            live = live.max(checker.live_violations());
         }
         assert_eq!(live, 1);
-        assert_eq!(checker.finish().len(), 1);
+        assert_eq!(Box::new(checker).finish().len(), 1);
     }
 
     #[test]
@@ -508,7 +477,7 @@ mod tests {
             .receive_rec(default_queue_endpoint(), 50, second, None)
             .build();
         // Bound 1: one redelivery on top of the first delivery is allowed.
-        assert!(check_redelivery_bound(&trace, 1).is_empty());
+        assert!(check(RedeliveryBoundChecker::new(1), &trace).is_empty());
     }
 
     #[test]
@@ -525,7 +494,7 @@ mod tests {
             .receive_rec(default_queue_endpoint(), 50, make(3), None)
             .receive_rec(default_queue_endpoint(), 50, make(4), None)
             .build();
-        let violations = check_redelivery_bound(&trace, 1);
+        let violations = check(RedeliveryBoundChecker::new(1), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],

@@ -8,8 +8,8 @@
 //! three are implemented and selectable through
 //! [`ExpiryConfig`].
 //!
-//! The model is fitted incrementally by [`FitAccumulator`] and the
-//! accounting is gathered incrementally by [`ExpiryChecker`]. Queue
+//! [`ExpiryCheck`] fits the model and gathers the accounting in one
+//! incremental pass, and judges both at finish. Queue
 //! end-points keep only per-time-to-live aggregates plus the ids of
 //! still-undelivered messages; subscription end-points must retain the
 //! topic send log, because a subscription's activity window (first
@@ -24,9 +24,10 @@
 //!
 //! [`ExpiryConfig`]: crate::config::ExpiryConfig
 
-use crate::config::{ExpiryConfig, ExpiryModel};
+use super::PropertyChecker;
+use crate::config::{AnalysisConfig, ExpiryConfig, ExpiryModel};
 use crate::defs;
-use crate::stream::{Resolved, SelectorState, SelectorTracker, TxResolver};
+use crate::stream::{SelectorState, SelectorTracker, TxResolver};
 use crate::violation::Violation;
 use jmst_api::destination::{Destination, EndpointId};
 use jmst_api::id::MessageId;
@@ -35,7 +36,6 @@ use jmst_api::selector::Selector;
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind, MessageRecord};
 use jmst_store::stats::{DelayHistogram, SummaryStats};
-use jmst_store::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::mem;
@@ -77,120 +77,6 @@ impl ExpiryBreakdown {
     }
 }
 
-/// The fitted delay expectation model for one run.
-#[derive(Debug, Clone)]
-pub struct FittedModel {
-    model: ExpiryModel,
-    deliver_probability: f64,
-    stats: SummaryStats,
-    histogram: DelayHistogram,
-}
-
-impl FittedModel {
-    /// Fits the configured model to the observed delivery delays of the
-    /// trace (all effective receives).
-    pub fn fit(trace: &Trace, config: &ExpiryConfig, histogram: DelayHistogram) -> Self {
-        let mut accumulator = FitAccumulator::new(histogram);
-        for event in trace {
-            accumulator.observe(event);
-        }
-        accumulator.finish(config)
-    }
-
-    /// Whether a message with the given time-to-live is expected to be
-    /// delivered.
-    pub fn expect_delivered(&self, ttl: TimeToLive) -> bool {
-        let Some(ttl) = ttl.as_duration() else {
-            return true; // never expires
-        };
-        let ttl_ms = ttl.as_secs_f64() * 1e3;
-        match self.model {
-            ExpiryModel::SimpleMean => self.stats.mean() <= ttl_ms,
-            ExpiryModel::Histogram => {
-                self.histogram.fraction_at_most(ttl) >= self.deliver_probability
-            }
-            ExpiryModel::Normal => {
-                let std = self.stats.std_dev();
-                if std == 0.0 {
-                    self.stats.mean() <= ttl_ms
-                } else {
-                    normal_cdf((ttl_ms - self.stats.mean()) / std) >= self.deliver_probability
-                }
-            }
-        }
-    }
-
-    /// The fitted delay statistics (milliseconds).
-    pub fn delay_stats(&self) -> &SummaryStats {
-        &self.stats
-    }
-
-    /// The fitted delay histogram.
-    pub fn delay_histogram(&self) -> &DelayHistogram {
-        &self.histogram
-    }
-}
-
-/// Incremental model fitting: accumulates the delivery-delay sample of
-/// every effective receive.
-#[derive(Debug)]
-pub struct FitAccumulator {
-    resolver: TxResolver,
-    stats: SummaryStats,
-    histogram: DelayHistogram,
-}
-
-impl FitAccumulator {
-    /// Creates an accumulator collecting into the given histogram shape.
-    pub fn new(histogram: DelayHistogram) -> Self {
-        Self {
-            resolver: TxResolver::new(),
-            stats: SummaryStats::new(),
-            histogram,
-        }
-    }
-
-    /// Feeds one raw trace event to the accumulator.
-    pub fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
-    }
-
-    fn ingest(&mut self, event: &Event) {
-        let EventKind::Receive { record, .. } = &event.kind else {
-            return;
-        };
-        let delay_ns = event.at.signed_since(record.sent_at);
-        self.stats.push(delay_ns as f64 / 1e6);
-        self.histogram
-            .push(Duration::from_nanos(delay_ns.max(0) as u64));
-    }
-
-    /// An estimate of the accumulator's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
-        self.resolver.state_bytes()
-            + mem::size_of::<SummaryStats>()
-            + mem::size_of::<DelayHistogram>()
-    }
-
-    /// Finishes the fit under the configured expectation model.
-    pub fn finish(self, config: &ExpiryConfig) -> FittedModel {
-        FittedModel {
-            model: config.model,
-            deliver_probability: config.deliver_probability,
-            stats: self.stats,
-            histogram: self.histogram,
-        }
-    }
-}
-
 /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf
 /// approximation (|error| < 1.5e-7, ample for an expectation model).
 fn normal_cdf(z: f64) -> f64 {
@@ -227,7 +113,7 @@ struct QueueExpiry {
 
 /// Per-subscription expiry state. The activity window (first consumer
 /// creation to last close) is only known at end of stream, so the topic
-/// send log is retained by the owning [`ExpiryChecker`] and replayed in
+/// send log is retained by the owning [`ExpiryCheck`] and replayed in
 /// `finish`.
 #[derive(Debug, Default)]
 struct SubExpiry {
@@ -237,10 +123,17 @@ struct SubExpiry {
     delivered: HashSet<MessageId>,
 }
 
-/// Incremental expired-messages checker.
-#[derive(Debug, Default)]
-pub struct ExpiryChecker {
+/// Incremental expired-messages check: fits the delay expectation model
+/// to every effective receive and keeps the per-end-point accounting, in
+/// one pass, then judges both at finish.
+#[derive(Debug)]
+pub struct ExpiryCheck {
+    config: ExpiryConfig,
     resolver: TxResolver,
+    /// Delivery delays in milliseconds, for the simple and normal models.
+    delays: SummaryStats,
+    /// Delivery delays, for the histogram model.
+    histogram: DelayHistogram,
     queues: BTreeMap<EndpointId, QueueExpiry>,
     subs: BTreeMap<EndpointId, SubExpiry>,
     /// Effective sends to topic destinations, replayed per subscription
@@ -249,21 +142,41 @@ pub struct ExpiryChecker {
     last_at: Timestamp,
 }
 
-impl ExpiryChecker {
-    /// Creates an empty checker.
-    pub fn new() -> Self {
-        Self::default()
+impl ExpiryCheck {
+    /// Creates a check with the configuration's expiry settings and
+    /// delay-histogram shape.
+    pub fn new(config: &AnalysisConfig) -> Self {
+        Self {
+            config: config.expiry,
+            resolver: TxResolver::new(),
+            delays: SummaryStats::new(),
+            histogram: DelayHistogram::new(config.histogram_bucket, config.histogram_buckets),
+            queues: BTreeMap::new(),
+            subs: BTreeMap::new(),
+            topic_sends: Vec::new(),
+            last_at: Timestamp::ZERO,
+        }
     }
 
-    /// Feeds one raw trace event to the checker.
-    pub fn observe(&mut self, event: &Event) {
-        self.last_at = self.last_at.max(event.at);
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
+    /// Whether the model fitted so far expects a message with the given
+    /// time-to-live to be delivered.
+    fn expect_delivered(&self, ttl: TimeToLive) -> bool {
+        let Some(ttl) = ttl.as_duration() else {
+            return true; // never expires
+        };
+        let ttl_ms = ttl.as_secs_f64() * 1e3;
+        match self.config.model {
+            ExpiryModel::SimpleMean => self.delays.mean() <= ttl_ms,
+            ExpiryModel::Histogram => {
+                self.histogram.fraction_at_most(ttl) >= self.config.deliver_probability
+            }
+            ExpiryModel::Normal => {
+                let std = self.delays.std_dev();
+                if std == 0.0 {
+                    self.delays.mean() <= ttl_ms
+                } else {
+                    normal_cdf((ttl_ms - self.delays.mean()) / std)
+                        >= self.config.deliver_probability
                 }
             }
         }
@@ -325,6 +238,10 @@ impl ExpiryChecker {
             EventKind::Receive {
                 endpoint, record, ..
             } => {
+                let delay_ns = event.at.signed_since(record.sent_at);
+                self.delays.push(delay_ns as f64 / 1e6);
+                self.histogram
+                    .push(Duration::from_nanos(delay_ns.max(0) as u64));
                 if matches!(endpoint, EndpointId::Queue(_)) {
                     let state = self.queues.entry(endpoint.clone()).or_default();
                     if let Some(ttl) = state.pending.remove(&record.message) {
@@ -343,35 +260,10 @@ impl ExpiryChecker {
         }
     }
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
-        let queue_bytes: usize = self
-            .queues
-            .values()
-            .map(|q| {
-                q.counts.len() * mem::size_of::<(TimeToLive, (u64, u64))>()
-                    + q.pending.capacity() * mem::size_of::<(MessageId, TimeToLive)>()
-                    + q.early.capacity() * mem::size_of::<MessageId>()
-            })
-            .sum();
-        let sub_bytes: usize = self
-            .subs
-            .values()
-            .map(|s| s.delivered.capacity() * mem::size_of::<MessageId>())
-            .sum();
-        self.resolver.state_bytes()
-            + queue_bytes
-            + sub_bytes
-            + self.topic_sends.capacity() * mem::size_of::<MessageRecord>()
-    }
-
-    /// Finishes the check under the fitted model, returning violations
-    /// and the per-end-point accounting, in end-point order.
-    pub fn finish(
-        self,
-        config: &ExpiryConfig,
-        model: &FittedModel,
-    ) -> (Vec<Violation>, Vec<ExpiryBreakdown>) {
+    /// Judges the accounting under the fitted model: the violations and
+    /// the per-end-point breakdowns, in end-point order.
+    pub(crate) fn judge(self) -> (Vec<Violation>, Vec<ExpiryBreakdown>) {
+        let config = &self.config;
         let trace_end = self.last_at;
         let mut accounted: BTreeMap<EndpointId, ExpiryBreakdown> = BTreeMap::new();
 
@@ -391,7 +283,7 @@ impl ExpiryChecker {
                 live_delivered: 0,
             };
             for (ttl, (sent, delivered)) in &state.counts {
-                if model.expect_delivered(*ttl) {
+                if self.expect_delivered(*ttl) {
                     breakdown.expected_live += sent;
                     breakdown.live_delivered += delivered;
                 } else {
@@ -441,7 +333,7 @@ impl ExpiryChecker {
                 }
                 any_finite_ttl |= !record.time_to_live.is_forever();
                 let delivered = state.delivered.contains(&record.message);
-                if model.expect_delivered(record.time_to_live) {
+                if self.expect_delivered(record.time_to_live) {
                     breakdown.expected_live += 1;
                     if delivered {
                         breakdown.live_delivered += 1;
@@ -490,24 +382,47 @@ impl ExpiryChecker {
     }
 }
 
-/// Checks the expiry property over a whole trace, returning violations
-/// and the per-end-point accounting.
-pub fn check(
-    trace: &Trace,
-    config: &ExpiryConfig,
-    model: &FittedModel,
-) -> (Vec<Violation>, Vec<ExpiryBreakdown>) {
-    let mut checker = ExpiryChecker::new();
-    for event in trace {
-        checker.observe(event);
+impl PropertyChecker for ExpiryCheck {
+    fn observe(&mut self, event: &Event) {
+        self.last_at = self.last_at.max(event.at);
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
     }
-    checker.finish(config, model)
+
+    fn state_bytes(&self) -> usize {
+        let queue_bytes: usize = self
+            .queues
+            .values()
+            .map(|q| {
+                q.counts.len() * mem::size_of::<(TimeToLive, (u64, u64))>()
+                    + q.pending.capacity() * mem::size_of::<(MessageId, TimeToLive)>()
+                    + q.early.capacity() * mem::size_of::<MessageId>()
+            })
+            .sum();
+        let sub_bytes: usize = self
+            .subs
+            .values()
+            .map(|s| s.delivered.capacity() * mem::size_of::<MessageId>())
+            .sum();
+        self.resolver.state_bytes()
+            + mem::size_of::<SummaryStats>()
+            + mem::size_of::<DelayHistogram>()
+            + queue_bytes
+            + sub_bytes
+            + self.topic_sends.capacity() * mem::size_of::<MessageRecord>()
+    }
+
+    fn finish(self: Box<Self>) -> Vec<Violation> {
+        self.judge().0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::*;
+    use jmst_store::trace::Trace;
 
     fn with_ttl(message: u64, sequence: u64, ttl_ms: u64) -> MessageRecord {
         let mut record = rec(message, 1, sequence);
@@ -548,17 +463,18 @@ mod tests {
         builder.build()
     }
 
-    fn run(trace: &Trace, model: ExpiryModel) -> (Vec<Violation>, Vec<ExpiryBreakdown>) {
-        let config = ExpiryConfig {
-            model,
-            ..ExpiryConfig::default()
+    /// An expiry check under `model`, with `buckets` 1 ms delay buckets,
+    /// driven over the whole trace.
+    fn fitted(trace: &Trace, model: ExpiryModel, buckets: usize) -> ExpiryCheck {
+        let config = AnalysisConfig {
+            histogram_buckets: buckets,
+            ..AnalysisConfig::default().with_expiry_model(model)
         };
-        let fitted = FittedModel::fit(
-            trace,
-            &config,
-            DelayHistogram::new(Duration::from_millis(1), 1000),
-        );
-        check(trace, &config, &fitted)
+        drive(ExpiryCheck::new(&config), trace)
+    }
+
+    fn run(trace: &Trace, model: ExpiryModel) -> (Vec<Violation>, Vec<ExpiryBreakdown>) {
+        fitted(trace, model, 1000).judge()
     }
 
     #[test]
@@ -603,12 +519,7 @@ mod tests {
     #[test]
     fn ttl_zero_always_expected_live() {
         let trace = paper_config_trace(false, false);
-        let config = ExpiryConfig::default();
-        let fitted = FittedModel::fit(
-            &trace,
-            &config,
-            DelayHistogram::new(Duration::from_millis(1), 100),
-        );
+        let fitted = fitted(&trace, ExpiryModel::SimpleMean, 100);
         assert!(fitted.expect_delivered(TimeToLive::FOREVER));
         assert!(!fitted.expect_delivered(TimeToLive::from_millis(1)));
         // A TTL comfortably above the ~10 ms mean delay is deliverable.
@@ -631,24 +542,10 @@ mod tests {
                 .receive_rec(default_queue_endpoint(), 50, record, None);
         }
         let trace = builder.build();
-        let config = ExpiryConfig::default();
-        let simple = FittedModel::fit(
-            &trace,
-            &config,
-            DelayHistogram::new(Duration::from_millis(1), 2000),
-        );
-        assert!(!matches!(config.model, ExpiryModel::Histogram));
+        let simple = fitted(&trace, ExpiryModel::SimpleMean, 2000);
         assert!(!simple.expect_delivered(TimeToLive::from_millis(5)));
-        let histogram_config = ExpiryConfig {
-            model: ExpiryModel::Histogram,
-            ..config
-        };
-        let fitted = FittedModel::fit(
-            &trace,
-            &histogram_config,
-            DelayHistogram::new(Duration::from_millis(1), 2000),
-        );
-        assert!(fitted.expect_delivered(TimeToLive::from_millis(5)));
+        let histogram = fitted(&trace, ExpiryModel::Histogram, 2000);
+        assert!(histogram.expect_delivered(TimeToLive::from_millis(5)));
     }
 
     #[test]

@@ -2,16 +2,14 @@
 //! m in c's Received Messages, m is also in the set Published Messages for
 //! some producer p."
 //!
-//! Implemented as the incremental [`IntegrityChecker`]; the batch
-//! [`check`] is a thin driver that feeds a whole trace through the same
-//! core, so streaming and batch analysis share one implementation.
+//! Implemented as the incremental [`IntegrityChecker`].
 
-use crate::stream::{Resolved, TxResolver};
+use super::PropertyChecker;
+use crate::stream::TxResolver;
 use crate::violation::Violation;
 use jmst_api::destination::EndpointId;
 use jmst_api::id::{ConsumerId, MessageId};
 use jmst_store::event::{Event, EventKind};
-use jmst_store::trace::Trace;
 use std::collections::HashSet;
 use std::mem;
 
@@ -35,19 +33,6 @@ impl IntegrityChecker {
     /// Creates an empty checker.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Feeds one raw trace event to the checker.
-    pub fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
     }
 
     fn ingest(&mut self, event: &Event) {
@@ -76,9 +61,16 @@ impl IntegrityChecker {
             .filter(|(message, _, _)| !self.sent.contains(message))
             .count()
     }
+}
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
+impl PropertyChecker for IntegrityChecker {
+    fn observe(&mut self, event: &Event) {
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
+    }
+
+    fn state_bytes(&self) -> usize {
         self.resolver.state_bytes()
             + self.sent.capacity() * mem::size_of::<MessageId>()
             + self.pending.capacity() * mem::size_of::<(MessageId, ConsumerId, EndpointId)>()
@@ -86,7 +78,7 @@ impl IntegrityChecker {
 
     /// Finishes the check: every receive still lacking an effective send
     /// is a violation, in the order the receives became effective.
-    pub fn finish(self) -> Vec<Violation> {
+    fn finish(self: Box<Self>) -> Vec<Violation> {
         let sent = self.sent;
         self.pending
             .into_iter()
@@ -102,15 +94,6 @@ impl IntegrityChecker {
     }
 }
 
-/// Checks delivery integrity over a whole trace.
-pub fn check(trace: &Trace) -> Vec<Violation> {
-    let mut checker = IntegrityChecker::new();
-    for event in trace {
-        checker.observe(event);
-    }
-    checker.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,13 +103,13 @@ mod tests {
     #[test]
     fn clean_trace_has_no_violations() {
         let trace = TraceBuilder::new().send(1, 1, 0).receive_q(1, 1, 0).build();
-        assert!(check(&trace).is_empty());
+        assert!(check(IntegrityChecker::new(), &trace).is_empty());
     }
 
     #[test]
     fn phantom_receive_is_flagged() {
         let trace = TraceBuilder::new().receive_q(99, 1, 0).build();
-        let violations = check(&trace);
+        let violations = check(IntegrityChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -142,7 +125,7 @@ mod tests {
             .send_tx(1, 1, 0, TxId::from_raw(7))
             .receive_q(1, 1, 0)
             .build();
-        let violations = check(&trace);
+        let violations = check(IntegrityChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
     }
 
@@ -153,7 +136,7 @@ mod tests {
             .commit(TxId::from_raw(7))
             .receive_q(1, 1, 0)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(IntegrityChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -164,7 +147,7 @@ mod tests {
             .receive_q_tx(99, 1, 0, TxId::from_raw(8))
             .rollback(TxId::from_raw(8))
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(IntegrityChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -176,6 +159,6 @@ mod tests {
         assert_eq!(checker.unmatched(), 1);
         checker.observe(&events[1]);
         assert_eq!(checker.unmatched(), 0);
-        assert!(checker.finish().is_empty());
+        assert!(Box::new(checker).finish().is_empty());
     }
 }

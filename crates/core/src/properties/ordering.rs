@@ -4,16 +4,15 @@
 //! earlier non-persistent message from the same producer (the reverse is
 //! permitted).
 //!
-//! The batch algorithm was already a single left-to-right pass, so the
-//! incremental [`OrderingChecker`] is its direct restatement; the batch
-//! [`check`] drives a whole trace through it.
+//! The check is a single left-to-right pass, the incremental
+//! [`OrderingChecker`].
 
-use crate::stream::{Resolved, TxResolver};
+use super::PropertyChecker;
+use crate::stream::TxResolver;
 use crate::violation::Violation;
 use jmst_api::id::{ConsumerId, MessageId, ProducerId};
 use jmst_api::modes::{DeliveryMode, Priority};
 use jmst_store::event::{Event, EventKind};
-use jmst_store::trace::Trace;
 use std::collections::{HashMap, HashSet};
 use std::mem;
 
@@ -55,20 +54,6 @@ impl OrderingChecker {
     /// Creates an empty checker.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Feeds one raw trace event to the checker. Ordering faults are
-    /// detected immediately, at the offending receive.
-    pub fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
     }
 
     fn ingest(&mut self, event: &Event) {
@@ -128,14 +113,22 @@ impl OrderingChecker {
             }
         }
     }
+}
+
+impl PropertyChecker for OrderingChecker {
+    /// Ordering faults are detected immediately, at the offending receive.
+    fn observe(&mut self, event: &Event) {
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
+    }
 
     /// Number of ordering violations detected so far.
-    pub fn violations_so_far(&self) -> usize {
+    fn live_violations(&self) -> usize {
         self.violations.len()
     }
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
+    fn state_bytes(&self) -> usize {
         self.resolver.state_bytes()
             + self.last_seen.capacity() * (mem::size_of::<OrderKey>() + mem::size_of::<u64>())
             + self.last_persistent.capacity()
@@ -145,18 +138,9 @@ impl OrderingChecker {
     }
 
     /// Finishes the check and returns the violations, in receive order.
-    pub fn finish(self) -> Vec<Violation> {
+    fn finish(self: Box<Self>) -> Vec<Violation> {
         self.violations
     }
-}
-
-/// Checks message ordering for every consumer in a whole trace.
-pub fn check(trace: &Trace) -> Vec<Violation> {
-    let mut checker = OrderingChecker::new();
-    for event in trace {
-        checker.observe(event);
-    }
-    checker.finish()
 }
 
 #[cfg(test)]
@@ -185,7 +169,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(2, 1, 1)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(OrderingChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -196,7 +180,7 @@ mod tests {
             .receive_q(2, 1, 1)
             .receive_q(1, 1, 0)
             .build();
-        let violations = check(&trace);
+        let violations = check(OrderingChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -218,7 +202,7 @@ mod tests {
             .receive_rec(default_queue_endpoint(), 50, with_priority(2, 1, 8), None)
             .receive_rec(default_queue_endpoint(), 50, with_priority(1, 0, 2), None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(OrderingChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -232,7 +216,7 @@ mod tests {
             .receive_q_by(51, 2, 1, 1)
             .receive_q_by(52, 1, 1, 0)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(OrderingChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -253,7 +237,7 @@ mod tests {
                 None,
             )
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(OrderingChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -274,7 +258,7 @@ mod tests {
                 None,
             )
             .build();
-        let violations = check(&trace);
+        let violations = check(OrderingChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -296,7 +280,7 @@ mod tests {
             .receive_q(2, 1, 1)
             .receive_rec(default_queue_endpoint(), 50, redelivered, None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(OrderingChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -319,7 +303,7 @@ mod tests {
                 None,
             )
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(OrderingChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -332,7 +316,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(2, 1, 1)
             .build();
-        let violations = check(&trace);
+        let violations = check(OrderingChecker::new(), &trace);
         assert_eq!(violations.len(), 2);
     }
 
@@ -348,7 +332,7 @@ mod tests {
         let mut seen_live = 0;
         for event in &trace {
             checker.observe(event);
-            seen_live = seen_live.max(checker.violations_so_far());
+            seen_live = seen_live.max(checker.live_violations());
         }
         assert_eq!(seen_live, 1);
     }

@@ -10,8 +10,9 @@
 //! delays are admitted exactly when the (possibly not yet delimited) run
 //! window is known to contain their production time.
 
+use super::PropertyChecker;
 use crate::config::PriorityConfig;
-use crate::stream::{Resolved, RunWindowTracker, TxResolver, WindowGate};
+use crate::stream::{RunWindowTracker, TxResolver, WindowGate};
 use crate::violation::Violation;
 use jmst_api::destination::EndpointId;
 use jmst_api::id::ProducerId;
@@ -53,30 +54,6 @@ impl PriorityChecker {
         }
     }
 
-    /// Feeds one raw trace event to the checker.
-    pub fn observe(&mut self, event: &Event) {
-        self.window.note(event);
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
-        let groups = &mut self.groups;
-        self.gate
-            .drain(&self.window, &mut |(key, priority, delay_ms)| {
-                groups
-                    .entry(key)
-                    .or_default()
-                    .entry(priority)
-                    .or_default()
-                    .push(delay_ms);
-            });
-    }
-
     fn ingest(&mut self, event: &Event) {
         let EventKind::Receive {
             endpoint, record, ..
@@ -109,9 +86,27 @@ impl PriorityChecker {
             },
         );
     }
+}
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
+impl PropertyChecker for PriorityChecker {
+    fn observe(&mut self, event: &Event) {
+        self.window.note(event);
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
+        let groups = &mut self.groups;
+        self.gate
+            .drain(&self.window, &mut |(key, priority, delay_ms)| {
+                groups
+                    .entry(key)
+                    .or_default()
+                    .entry(priority)
+                    .or_default()
+                    .push(delay_ms);
+            });
+    }
+
+    fn state_bytes(&self) -> usize {
         let group_bytes: usize = self
             .groups
             .values()
@@ -127,7 +122,7 @@ impl PriorityChecker {
 
     /// Finishes the check: resolves still-pending samples against the
     /// final run window and compares priority classes pairwise.
-    pub fn finish(mut self) -> Vec<Violation> {
+    fn finish(mut self: Box<Self>) -> Vec<Violation> {
         let window = self.window.final_window();
         let groups = &mut self.groups;
         self.gate.finish(window, |(key, priority, delay_ms)| {
@@ -165,15 +160,6 @@ impl PriorityChecker {
         }
         violations
     }
-}
-
-/// Checks the priority property over a whole trace's run window.
-pub fn check(trace: &Trace, config: &PriorityConfig) -> Vec<Violation> {
-    let mut checker = PriorityChecker::new(*config);
-    for event in trace {
-        checker.observe(event);
-    }
-    checker.finish()
 }
 
 /// One delivery retained by the strict checker.
@@ -220,19 +206,6 @@ impl StrictPriorityChecker {
         }
     }
 
-    /// Feeds one raw trace event to the checker.
-    pub fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
-    }
-
     fn ingest(&mut self, event: &Event) {
         let EventKind::Receive {
             endpoint, record, ..
@@ -254,9 +227,16 @@ impl StrictPriorityChecker {
                 producer: record.producer,
             });
     }
+}
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
+impl PropertyChecker for StrictPriorityChecker {
+    fn observe(&mut self, event: &Event) {
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
+    }
+
+    fn state_bytes(&self) -> usize {
         self.by_group
             .values()
             .map(|v| v.capacity() * mem::size_of::<Delivered>())
@@ -266,7 +246,7 @@ impl StrictPriorityChecker {
     }
 
     /// Finishes the check, comparing every candidate pair per end-point.
-    pub fn finish(self) -> Vec<Violation> {
+    fn finish(self: Box<Self>) -> Vec<Violation> {
         let slack_nanos = self.slack.as_nanos() as i64;
         let mut violations = Vec::new();
         for (endpoint, deliveries) in self.by_group {
@@ -297,15 +277,6 @@ impl StrictPriorityChecker {
     }
 }
 
-/// Runs the strict priority analysis over a whole trace.
-pub fn check_strict(trace: &Trace, slack: Duration) -> Vec<Violation> {
-    let mut checker = StrictPriorityChecker::new(slack);
-    for event in trace {
-        checker.observe(event);
-    }
-    checker.finish()
-}
-
 /// The mean-delay-by-priority table behind the check, for reports
 /// (experiment E7 prints it): the delays of effective receives whose
 /// message was produced inside the run window.
@@ -324,11 +295,7 @@ pub fn mean_delay_by_priority(trace: &Trace) -> BTreeMap<Priority, SummaryStats>
         table.entry(record.priority).or_default().push(delay_ms);
     };
     for event in trace {
-        match resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => ingest(event),
-            Resolved::Replay(events) => events.iter().for_each(&mut ingest),
-        }
+        resolver.push(event).for_each(&mut ingest);
     }
     table
 }
@@ -385,19 +352,19 @@ mod tests {
     #[test]
     fn faster_high_priority_passes() {
         let trace = delay_trace(50, 10, 30);
-        assert!(check(&trace, &config(20)).is_empty());
+        assert!(check(PriorityChecker::new(config(20)), &trace).is_empty());
     }
 
     #[test]
     fn equal_delays_pass() {
         let trace = delay_trace(20, 20, 30);
-        assert!(check(&trace, &config(20)).is_empty());
+        assert!(check(PriorityChecker::new(config(20)), &trace).is_empty());
     }
 
     #[test]
     fn slower_high_priority_is_flagged() {
         let trace = delay_trace(10, 50, 30);
-        let violations = check(&trace, &config(20));
+        let violations = check(PriorityChecker::new(config(20)), &trace);
         assert_eq!(violations.len(), 1);
         match &violations[0] {
             Violation::PriorityInversion {
@@ -418,7 +385,7 @@ mod tests {
     #[test]
     fn small_samples_are_ignored() {
         let trace = delay_trace(10, 50, 5);
-        assert!(check(&trace, &config(20)).is_empty());
+        assert!(check(PriorityChecker::new(config(20)), &trace).is_empty());
     }
 
     #[test]
@@ -429,7 +396,7 @@ mod tests {
             min_samples: 20,
             ..PriorityConfig::default()
         };
-        assert!(check(&trace, &generous).is_empty());
+        assert!(check(PriorityChecker::new(generous), &trace).is_empty());
     }
 
     #[test]
@@ -448,10 +415,13 @@ mod tests {
             .at(200)
             .receive_rec(default_queue_endpoint(), 50, high, None)
             .build();
-        let violations = check_strict(&trace, Duration::from_millis(10));
+        let violations = check(
+            StrictPriorityChecker::new(Duration::from_millis(10)),
+            &trace,
+        );
         assert_eq!(violations.len(), 1);
         // The non-strict mean check with few samples sees nothing.
-        assert!(check(&trace, &config(20)).is_empty());
+        assert!(check(PriorityChecker::new(config(20)), &trace).is_empty());
     }
 
     #[test]
@@ -467,7 +437,11 @@ mod tests {
             .at(200)
             .receive_rec(default_queue_endpoint(), 50, low, None)
             .build();
-        assert!(check_strict(&trace, Duration::from_millis(10)).is_empty());
+        assert!(check(
+            StrictPriorityChecker::new(Duration::from_millis(10)),
+            &trace
+        )
+        .is_empty());
     }
 
     #[test]
@@ -486,7 +460,11 @@ mod tests {
             .at(105)
             .receive_rec(default_queue_endpoint(), 50, high, None)
             .build();
-        assert!(check_strict(&trace, Duration::from_millis(10)).is_empty());
+        assert!(check(
+            StrictPriorityChecker::new(Duration::from_millis(10)),
+            &trace
+        )
+        .is_empty());
     }
 
     #[test]
@@ -505,7 +483,11 @@ mod tests {
             .at(200)
             .receive_rec(default_queue_endpoint(), 50, high, None)
             .build();
-        assert!(check_strict(&trace, Duration::from_millis(10)).is_empty());
+        assert!(check(
+            StrictPriorityChecker::new(Duration::from_millis(10)),
+            &trace
+        )
+        .is_empty());
     }
 
     #[test]

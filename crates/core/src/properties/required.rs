@@ -11,15 +11,15 @@
 //! Subscriptions retain the topic send log: their first/last window can
 //! only be evaluated once the stream ends.
 
+use super::PropertyChecker;
 use crate::defs;
-use crate::stream::{Resolved, SelectorState, SelectorTracker, TxResolver};
+use crate::stream::{SelectorState, SelectorTracker, TxResolver};
 use crate::violation::Violation;
 use jmst_api::destination::{Destination, EndpointId};
 use jmst_api::id::{MessageId, ProducerId};
 use jmst_api::selector::Selector;
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind, MessageRecord};
-use jmst_store::trace::Trace;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::mem;
 
@@ -142,19 +142,6 @@ impl RequiredChecker {
         Self::default()
     }
 
-    /// Feeds one raw trace event to the checker.
-    pub fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
-    }
-
     fn ingest(&mut self, event: &Event) {
         match &event.kind {
             EventKind::ConsumerCreated {
@@ -267,9 +254,16 @@ impl RequiredChecker {
             _ => {}
         }
     }
+}
 
-    /// An estimate of the checker's resident state, in bytes.
-    pub fn state_bytes(&self) -> usize {
+impl PropertyChecker for RequiredChecker {
+    fn observe(&mut self, event: &Event) {
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
+    }
+
+    fn state_bytes(&self) -> usize {
         let queue_bytes: usize = self
             .queues
             .values()
@@ -298,7 +292,7 @@ impl RequiredChecker {
 
     /// Finishes the check, returning violations in (end-point, producer,
     /// sequence) order.
-    pub fn finish(self) -> Vec<Violation> {
+    fn finish(self: Box<Self>) -> Vec<Violation> {
         let mut violations = Vec::new();
 
         // EndpointId's derived order puts queues before subscriptions, so
@@ -394,15 +388,6 @@ impl RequiredChecker {
     }
 }
 
-/// Checks the required-message property for every end-point in the trace.
-pub fn check(trace: &Trace) -> Vec<Violation> {
-    let mut checker = RequiredChecker::new();
-    for event in trace {
-        checker.observe(event);
-    }
-    checker.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +403,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(2, 1, 1)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -430,7 +415,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(3, 1, 2)
             .build();
-        let violations = check(&trace);
+        let violations = check(RequiredChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -444,7 +429,7 @@ mod tests {
         // Nothing was ever received from this producer on the queue: per
         // the paper's recursion, every send is required.
         let trace = TraceBuilder::new().send(1, 1, 0).send(2, 1, 1).build();
-        let violations = check(&trace);
+        let violations = check(RequiredChecker::new(), &trace);
         assert_eq!(violations.len(), 2);
     }
 
@@ -461,7 +446,7 @@ mod tests {
             .send(2, 1, 1) // sent but never received
             .consumer_closed(50, endpoint)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -484,7 +469,7 @@ mod tests {
             .at(5)
             .receive_q(3, 1, 2)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -505,7 +490,7 @@ mod tests {
             .receive_rec(sub.clone(), 60, second, None)
             .receive_rec(sub, 60, third, None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -523,7 +508,7 @@ mod tests {
             .receive_rec(sub.clone(), 60, make(1, 0), None)
             .receive_rec(sub, 60, make(3, 2), None)
             .build();
-        let violations = check(&trace);
+        let violations = check(RequiredChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -540,7 +525,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(3, 1, 2)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -554,7 +539,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(3, 1, 2)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -574,7 +559,7 @@ mod tests {
             .receive_rec(sub.clone(), 60, make(1, 0, 9), None)
             .receive_rec(sub, 60, make(3, 2, 9), None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -587,7 +572,7 @@ mod tests {
             .build();
         // Normally the unreceived queue send would violate; the mixed
         // selectors make the required set undefined, so no violation.
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -606,7 +591,7 @@ mod tests {
             .dead_lettered(parked, "DLQ.q")
             .receive_q(3, 1, 2)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 
     #[test]
@@ -623,7 +608,7 @@ mod tests {
             .receive_q(1, 1, 0)
             .receive_q(3, 1, 2)
             .build();
-        let violations = check(&trace);
+        let violations = check(RequiredChecker::new(), &trace);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             &violations[0],
@@ -647,6 +632,6 @@ mod tests {
             .consumer_created(50, endpoint.clone(), Some("JMSPriority >= 5"))
             .receive_rec(endpoint, 50, make(1, 0, 9), None)
             .build();
-        assert!(check(&trace).is_empty());
+        assert!(check(RequiredChecker::new(), &trace).is_empty());
     }
 }

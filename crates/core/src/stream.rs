@@ -33,6 +33,17 @@ pub enum Resolved<'a> {
     Replay(Vec<Event>),
 }
 
+impl Resolved<'_> {
+    /// Hands each event that became effective to `ingest`, in order.
+    pub fn for_each(self, mut ingest: impl FnMut(&Event)) {
+        match self {
+            Resolved::Buffered => {}
+            Resolved::One(event) => ingest(event),
+            Resolved::Replay(events) => events.iter().for_each(ingest),
+        }
+    }
+}
+
 /// Streams raw events into *effective* events: the paper's Definitions 1
 /// and 2.
 ///

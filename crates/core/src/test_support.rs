@@ -1,11 +1,28 @@
-//! Hand-built trace construction for checker unit tests.
+//! Hand-built trace construction for checker unit tests, and the driver
+//! that runs one checker over a trace.
 
+use crate::properties::PropertyChecker;
+use crate::violation::Violation;
 use jmst_api::destination::{Destination, EndpointId, QueueName};
 use jmst_api::id::{ConsumerId, MessageId, NodeId, ProducerId, SessionId, TxId};
 use jmst_api::modes::{DeliveryMode, Priority, SessionMode, TimeToLive};
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind, MessageRecord, Phase};
 use jmst_store::trace::Trace;
+
+/// Feeds every event of `trace` to `checker`, in order, and hands the
+/// checker back.
+pub fn drive<C: PropertyChecker>(mut checker: C, trace: &Trace) -> C {
+    for event in trace {
+        checker.observe(event);
+    }
+    checker
+}
+
+/// Drives `checker` over `trace` and returns its violations.
+pub fn check(checker: impl PropertyChecker, trace: &Trace) -> Vec<Violation> {
+    Box::new(drive(checker, trace)).finish()
+}
 
 /// The queue every shorthand method uses.
 pub fn default_queue_endpoint() -> EndpointId {

@@ -267,11 +267,11 @@ impl DaemonPrince {
     ///
     /// The analysis does not wait for the trace: a
     /// [`StreamingAnalyzer`](jmst_core::StreamingAnalyzer) consumes the
-    /// run's events live on a watcher thread, violations decidable
-    /// mid-stream are surfaced on stderr as they happen, and — when the
-    /// spec set [`fail_fast`](TestSpec::fail_fast) — the first of them
-    /// cancels the run, salvaging the partial verdict instead of letting
-    /// a known-broken run finish.
+    /// run's events live on a watcher thread, the first violation
+    /// decidable mid-stream is announced on stderr, and — when the spec
+    /// set [`fail_fast`](TestSpec::fail_fast) — it cancels the run,
+    /// salvaging the partial verdict instead of letting a known-broken
+    /// run finish.
     pub fn run_test(&self, factory: &ProviderFactory<'_>, spec: &TestSpec) -> TestResult {
         self.run_test_collected(factory, spec).0
     }
@@ -309,14 +309,7 @@ impl DaemonPrince {
         let (provider, admin) = factory(spec);
         let (sink, stream) = jmst_store::sink::channel(STREAM_REORDER_DEPTH, STREAM_CAPACITY);
         let cancel = Arc::new(AtomicBool::new(false));
-        // DSL properties from the spec's `[properties]` section compile
-        // onto the same streaming core as the built-ins: the watcher sees
-        // their live violations (so fail_fast covers them) and the
-        // fallback replay re-checks them identically.
-        let analyzer = self
-            .analyzer
-            .clone()
-            .with_registry(jmst_props::compile_registry(&spec.properties));
+        let analyzer = analyzer_for(&self.analyzer, spec);
         let watcher = {
             let analyzer = analyzer.clone();
             let cancel = Arc::clone(&cancel);
@@ -399,10 +392,22 @@ impl DaemonPrince {
     }
 }
 
+/// `analyzer` with the spec's `[properties]` rows appended after the
+/// rows of its own registry. The DSL properties compile onto the same
+/// streaming core as the built-ins: the watcher sees their live
+/// violations (so fail_fast covers them) and the fallback replay
+/// re-checks them identically.
+pub(crate) fn analyzer_for(analyzer: &Analyzer, spec: &TestSpec) -> Analyzer {
+    let mut registry = analyzer.registry().clone();
+    registry.append(jmst_props::compile_registry(&spec.properties));
+    analyzer.clone().with_registry(registry)
+}
+
 /// The live watcher's loop. Each event of `stream` is observed by a
 /// streaming pass of `analyzer` and then kept, so the returned trace
 /// holds the run's events — the only copy of them. `on_live` hears the
-/// live violation count each time it grows.
+/// live violation count once, when it first becomes non-zero: that is
+/// the fail-fast trigger, and the verdict carries the total.
 ///
 /// A panicking checker must not lose the verdict: the live pass stops,
 /// the stream is still drained to the end (the recorder would otherwise
@@ -414,7 +419,7 @@ fn watch(
     mut on_live: impl FnMut(usize),
 ) -> (AnalysisReport, jmst_store::Trace) {
     let mut checking = Some(analyzer.streaming());
-    let mut surfaced = 0;
+    let mut surfaced = false;
     let mut events = Vec::new();
     for event in stream {
         if let Some(live) = &mut checking {
@@ -423,8 +428,8 @@ fn watch(
                 live.violations_so_far()
             }));
             match observed {
-                Ok(count) if count > surfaced => {
-                    surfaced = count;
+                Ok(count) if count > 0 && !surfaced => {
+                    surfaced = true;
                     on_live(count);
                 }
                 Ok(_) => {}
@@ -693,6 +698,76 @@ mod tests {
         assert_eq!(watched, trace, "the watcher lost or reordered events");
         assert_eq!(report, analyzer.analyze(&trace));
         assert!(report.passed());
+    }
+
+    #[test]
+    fn watch_announces_live_violations_once() {
+        use jmst_api::destination::{EndpointId, QueueName};
+        use jmst_api::id::{ConsumerId, MessageId, NodeId, ProducerId, SessionId};
+        use jmst_api::modes::{DeliveryMode, Priority, TimeToLive};
+        use jmst_api::time::Timestamp;
+        use jmst_store::event::{Event, EventKind, MessageRecord};
+
+        let record = |message: u64| MessageRecord {
+            message: MessageId::from_raw(message),
+            producer: ProducerId::from_raw(1),
+            sequence: message,
+            destination: Destination::queue("q"),
+            priority: Priority::DEFAULT,
+            delivery_mode: DeliveryMode::Persistent,
+            time_to_live: TimeToLive::FOREVER,
+            sent_at: Timestamp::ZERO,
+            body_bytes: 8,
+            redelivered: false,
+            delivery_count: 1,
+            properties: Default::default(),
+        };
+        let mut kinds = Vec::new();
+        for message in 0..3 {
+            kinds.push(EventKind::Send {
+                record: record(message),
+                session: SessionId::from_raw(1),
+                tx: None,
+            });
+            // Each message is delivered twice: three live duplicates.
+            for _ in 0..2 {
+                kinds.push(EventKind::Receive {
+                    consumer: ConsumerId::from_raw(2),
+                    endpoint: EndpointId::for_queue(QueueName::new("q")),
+                    record: record(message),
+                    session: SessionId::from_raw(2),
+                    tx: None,
+                });
+            }
+        }
+        let events = kinds.into_iter().enumerate().map(|(seq, kind)| Event {
+            seq: seq as u64,
+            at: Timestamp::ZERO,
+            node: NodeId::from_raw(0),
+            kind,
+        });
+        let mut calls = Vec::new();
+        let (report, _) = watch(events, &Analyzer::new(), |live| calls.push(live));
+        assert_eq!(
+            report.count_of(jmst_core::PropertyKind::DuplicateDelivery),
+            3
+        );
+        assert_eq!(calls, [1], "one announcement, at the first violation");
+    }
+
+    #[test]
+    fn spec_properties_run_beside_the_callers_registry() {
+        let own = jmst_props::parse_properties("everything = receives >= 1").expect("parses");
+        let analyzer = Analyzer::new().with_registry(jmst_props::compile_registry(&own));
+        let prince = DaemonPrince::with_analyzer(analyzer);
+        let factory = |_: &TestSpec| -> (Arc<dyn jmst_api::provider::Provider>, _) {
+            (Arc::new(ReferenceBroker::new()), None)
+        };
+        let declared = jmst_props::parse_properties("late = deadline 60s").expect("parses");
+        let result = prince.run_test(&factory, &spec("two registries").with_properties(declared));
+        let report = result.outcome.report().expect("ran");
+        let names: Vec<&str> = report.named.iter().map(|row| row.name.as_str()).collect();
+        assert_eq!(names, ["everything", "late"]);
     }
 
     #[test]

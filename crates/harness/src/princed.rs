@@ -178,9 +178,7 @@ impl ProcessPrince {
     }
 
     fn analyzer_for(&self, spec: &TestSpec) -> Analyzer {
-        self.analyzer
-            .clone()
-            .with_registry(jmst_props::compile_registry(&spec.properties))
+        crate::prince::analyzer_for(&self.analyzer, spec)
     }
 
     /// Runs (or resumes) a campaign.
@@ -624,20 +622,20 @@ impl ProcessPrince {
         // for the final trace.
         let mut streaming = self.analyzer_for(spec).streaming();
         let mut events: Vec<Event> = Vec::new();
-        let mut surfaced = 0usize;
-        let mut cancelled = false;
+        let mut surfaced = false;
         let terminal = loop {
             match proto::read_frame(&mut reader) {
                 Ok(Some(WireMessage::Event { event })) => {
                     journal_append_event(journal, index, &event);
                     streaming.observe(&event);
                     events.push(event);
+                    // One line at the first live violation, the fail-fast
+                    // trigger; the verdict carries the total.
                     let live = streaming.violations_so_far();
-                    if live > surfaced {
-                        surfaced = live;
+                    if live > 0 && !surfaced {
+                        surfaced = true;
                         eprintln!("[jmst-princed] {}: {live} violation(s) live", spec.name);
-                        if spec.fail_fast && !cancelled {
-                            cancelled = true;
+                        if spec.fail_fast {
                             let _ = proto::write_frame(&mut writer, &WireMessage::Cancel);
                         }
                     }

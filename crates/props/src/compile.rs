@@ -4,28 +4,28 @@
 //! live watcher, `fail_fast`, batch replay, and divergence checking all
 //! work on DSL properties unchanged.
 //!
-//! The built-in mirrors (`ordered`, `no_duplicates`, …) wrap the actual
-//! built-in checker structs — not re-implementations — so a mirror is
-//! verdict-identical to its twin by construction. The QoS checkers
-//! front themselves with a [`TxResolver`] (only committed operations
-//! count, judged at their original timestamps) and, where the assertion
-//! is windowed, gate samples through the same [`RunWindowTracker`] /
-//! [`WindowGate`] pair the performance accumulator uses.
+//! The built-in names (`ordered`, `no_duplicates`, …) compile to the
+//! very checkers of the analyzer's default table, at their default
+//! configuration, so a named built-in row is the default row under
+//! another name. The QoS checkers front themselves with a
+//! [`TxResolver`] (only committed operations count, judged at their
+//! original timestamps) and, where the assertion is windowed, gate
+//! samples through the same [`RunWindowTracker`] / [`WindowGate`] pair
+//! the performance accumulator uses.
 
 use crate::decl::{CountOp, Guard, LatencyStat, PropertyDecl, PropertySpec};
 use jmst_api::id::ConsumerId;
-use jmst_core::config::{AnalysisConfig, ExpiryConfig, PriorityConfig};
+use jmst_core::config::{AnalysisConfig, PriorityConfig};
 use jmst_core::defs::selector_accepts_record;
 use jmst_core::properties::duplicates::{DuplicatesChecker, RedeliveryBoundChecker};
-use jmst_core::properties::expiry::{ExpiryChecker, FitAccumulator};
+use jmst_core::properties::expiry::ExpiryCheck;
 use jmst_core::properties::integrity::IntegrityChecker;
 use jmst_core::properties::ordering::OrderingChecker;
 use jmst_core::properties::priority::PriorityChecker;
 use jmst_core::properties::required::RequiredChecker;
-use jmst_core::stream::{Resolved, RunWindowTracker, TxResolver, WindowGate};
+use jmst_core::stream::{RunWindowTracker, TxResolver, WindowGate};
 use jmst_core::{CheckerRegistry, PropertyChecker, Violation};
 use jmst_store::event::{Event, EventKind, MessageRecord};
-use jmst_store::stats::DelayHistogram;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -45,26 +45,14 @@ pub fn compile_registry(properties: &[PropertySpec]) -> CheckerRegistry {
 
 /// Instantiates one checker for a declaration.
 pub fn compile(name: &str, decl: &PropertyDecl) -> Box<dyn PropertyChecker> {
-    let defaults = AnalysisConfig::default();
     match decl {
-        PropertyDecl::Ordered => Box::new(OrderedMirror(OrderingChecker::new())),
-        PropertyDecl::NoDuplicates => Box::new(NoDuplicatesMirror(DuplicatesChecker::new())),
-        PropertyDecl::RedeliveryBound(bound) => {
-            Box::new(RedeliveryMirror(RedeliveryBoundChecker::new(*bound)))
-        }
-        PropertyDecl::Required => Box::new(RequiredMirror(RequiredChecker::new())),
-        PropertyDecl::Integrity => Box::new(IntegrityMirror(IntegrityChecker::new())),
-        PropertyDecl::Priority => Box::new(PriorityMirror(PriorityChecker::new(
-            PriorityConfig::default(),
-        ))),
-        PropertyDecl::Expiry => Box::new(ExpiryMirror {
-            fit: FitAccumulator::new(DelayHistogram::new(
-                defaults.histogram_bucket,
-                defaults.histogram_buckets,
-            )),
-            checker: ExpiryChecker::new(),
-            config: ExpiryConfig::default(),
-        }),
+        PropertyDecl::Ordered => Box::new(OrderingChecker::new()),
+        PropertyDecl::NoDuplicates => Box::new(DuplicatesChecker::new()),
+        PropertyDecl::RedeliveryBound(bound) => Box::new(RedeliveryBoundChecker::new(*bound)),
+        PropertyDecl::Required => Box::new(RequiredChecker::new()),
+        PropertyDecl::Integrity => Box::new(IntegrityChecker::new()),
+        PropertyDecl::Priority => Box::new(PriorityChecker::new(PriorityConfig::default())),
+        PropertyDecl::Expiry => Box::new(ExpiryCheck::new(&AnalysisConfig::default())),
         PropertyDecl::Deadline { bound, guard } => Box::new(DeadlineChecker {
             name: name.to_owned(),
             bound: *bound,
@@ -118,76 +106,6 @@ fn guard_accepts(guard: &Option<Guard>, record: &MessageRecord) -> bool {
         .is_none_or(|guard| selector_accepts_record(guard.selector(), record))
 }
 
-macro_rules! builtin_mirror {
-    ($mirror:ident, $inner:ty, live) => {
-        #[derive(Debug)]
-        struct $mirror($inner);
-
-        impl PropertyChecker for $mirror {
-            fn observe(&mut self, event: &Event) {
-                self.0.observe(event);
-            }
-            fn live_violations(&self) -> usize {
-                self.0.violations_so_far()
-            }
-            fn state_bytes(&self) -> usize {
-                self.0.state_bytes()
-            }
-            fn finish(self: Box<Self>) -> Vec<Violation> {
-                (*self).0.finish()
-            }
-        }
-    };
-    ($mirror:ident, $inner:ty) => {
-        #[derive(Debug)]
-        struct $mirror($inner);
-
-        impl PropertyChecker for $mirror {
-            fn observe(&mut self, event: &Event) {
-                self.0.observe(event);
-            }
-            fn state_bytes(&self) -> usize {
-                self.0.state_bytes()
-            }
-            fn finish(self: Box<Self>) -> Vec<Violation> {
-                (*self).0.finish()
-            }
-        }
-    };
-}
-
-builtin_mirror!(OrderedMirror, OrderingChecker, live);
-builtin_mirror!(NoDuplicatesMirror, DuplicatesChecker, live);
-builtin_mirror!(RedeliveryMirror, RedeliveryBoundChecker, live);
-builtin_mirror!(RequiredMirror, RequiredChecker);
-builtin_mirror!(IntegrityMirror, IntegrityChecker);
-builtin_mirror!(PriorityMirror, PriorityChecker);
-
-/// Mirror of the two-phase expiry analysis (fit the delay model, then
-/// judge), at the default configuration.
-#[derive(Debug)]
-struct ExpiryMirror {
-    fit: FitAccumulator,
-    checker: ExpiryChecker,
-    config: ExpiryConfig,
-}
-
-impl PropertyChecker for ExpiryMirror {
-    fn observe(&mut self, event: &Event) {
-        self.fit.observe(event);
-        self.checker.observe(event);
-    }
-    fn state_bytes(&self) -> usize {
-        self.fit.state_bytes() + self.checker.state_bytes()
-    }
-    fn finish(self: Box<Self>) -> Vec<Violation> {
-        let this = *self;
-        let fitted = this.fit.finish(&this.config);
-        let (violations, _breakdowns) = this.checker.finish(&this.config, &fitted);
-        violations
-    }
-}
-
 /// `deadline DUR`: every committed, guard-matching delivery must arrive
 /// within the bound of its send timestamp. Live-decidable — each late
 /// delivery convicts on sight.
@@ -225,15 +143,9 @@ impl DeadlineChecker {
 
 impl PropertyChecker for DeadlineChecker {
     fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
     }
     fn live_violations(&self) -> usize {
         self.violations.len()
@@ -281,15 +193,9 @@ impl PropertyChecker for LatencyChecker {
             let samples = &mut self.samples;
             self.gate.drain(&self.window, &mut |v| samples.push(v));
         }
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
     }
     fn state_bytes(&self) -> usize {
         (self.samples.len() + self.gate.len()) * std::mem::size_of::<u64>()
@@ -364,15 +270,9 @@ impl ThroughputChecker {
 impl PropertyChecker for ThroughputChecker {
     fn observe(&mut self, event: &Event) {
         self.window.note(event);
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
     }
     fn state_bytes(&self) -> usize {
         self.gate.len() * std::mem::size_of::<jmst_api::time::Timestamp>()
@@ -443,15 +343,9 @@ impl PropertyChecker for FairnessChecker {
         if let EventKind::ConsumerCreated { consumer, .. } = &event.kind {
             self.consumers.insert(*consumer);
         }
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
     }
     fn state_bytes(&self) -> usize {
         (self.consumers.len() + self.counts.len() + self.gate.len())
@@ -528,15 +422,9 @@ impl ReceiveCountChecker {
 
 impl PropertyChecker for ReceiveCountChecker {
     fn observe(&mut self, event: &Event) {
-        match self.resolver.push(event) {
-            Resolved::Buffered => {}
-            Resolved::One(event) => self.ingest(event),
-            Resolved::Replay(events) => {
-                for event in &events {
-                    self.ingest(event);
-                }
-            }
-        }
+        self.resolver
+            .push(event)
+            .for_each(|event| self.ingest(event));
     }
     fn live_violations(&self) -> usize {
         usize::from(self.exceeded())
@@ -826,9 +714,10 @@ mod tests {
     }
 
     #[test]
-    fn builtin_mirrors_match_builtin_checkers() {
-        // An out-of-order + duplicate trace: mirrors must reproduce the
-        // built-ins' violations exactly (modulo report bookkeeping).
+    fn builtin_names_match_the_default_table() {
+        // An out-of-order + duplicate trace: the named built-in rows must
+        // reproduce the default rows' violations exactly (modulo report
+        // bookkeeping).
         let trace = T::new()
             .send(0, 1, 0)
             .send(MS, 2, 1)
@@ -837,7 +726,7 @@ mod tests {
             .receive(4 * MS, 0, 1, 0)
             .build();
         let builtin = Analyzer::with_config(AnalysisConfig::default()).analyze(&trace);
-        let mirrored = analyze(
+        let named = analyze(
             "order = ordered\ndedup = no_duplicates\ncomplete = required\nhonest = integrity",
             &trace,
         );
@@ -846,11 +735,7 @@ mod tests {
             .iter()
             .map(|v| format!("{v:?}"))
             .collect();
-        let mut b: Vec<String> = mirrored
-            .violations
-            .iter()
-            .map(|v| format!("{v:?}"))
-            .collect();
+        let mut b: Vec<String> = named.violations.iter().map(|v| format!("{v:?}")).collect();
         a.sort();
         b.sort();
         assert_eq!(a, b);

@@ -7,9 +7,10 @@
 //! where `decl` is one of:
 //!
 //! * `ordered` / `no_duplicates` / `redelivery <= N` / `required` /
-//!   `integrity` / `priority` / `expiry` — mirrors of the built-in
-//!   checkers (guards are not permitted on these, so a mirror is always
-//!   verdict-identical to its built-in twin);
+//!   `integrity` / `priority` / `expiry` — the built-in checkers of the
+//!   analyzer's default table, at their default configuration (guards
+//!   are not permitted on these, so such a row always reaches the default
+//!   row's verdict);
 //! * `deadline DUR [where GUARD]` — every (guarded) delivery must arrive
 //!   within `DUR` of its send;
 //! * `latency STAT <= DUR [where GUARD]` — a delivery-latency statistic
@@ -123,19 +124,19 @@ pub enum CountOp {
 /// One property declaration (the right-hand side of a DSL line).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PropertyDecl {
-    /// Mirror of the built-in P3 ordering checker.
+    /// The built-in P3 ordering checker.
     Ordered,
-    /// Mirror of the built-in duplicate-delivery checker.
+    /// The built-in duplicate-delivery checker.
     NoDuplicates,
-    /// Mirror of the built-in bounded-redelivery checker.
+    /// The built-in bounded-redelivery checker.
     RedeliveryBound(u32),
-    /// Mirror of the built-in P2 required-messages checker.
+    /// The built-in P2 required-messages checker.
     Required,
-    /// Mirror of the built-in P1 delivery-integrity checker.
+    /// The built-in P1 delivery-integrity checker.
     Integrity,
-    /// Mirror of the built-in P4 priority checker (default config).
+    /// The built-in P4 priority checker (default config).
     Priority,
-    /// Mirror of the built-in P5 expiry checker (default config).
+    /// The built-in P5 expiry checker (default config).
     Expiry,
     /// Per-message deadline: every guarded delivery within `bound`.
     Deadline {
@@ -242,7 +243,7 @@ impl PropertyDecl {
         let require_no_guard = |kind: &str| {
             if guard.is_some() {
                 Err(format!(
-                    "'{kind}' mirrors a built-in checker and does not take a guard"
+                    "'{kind}' names a built-in checker and does not take a guard"
                 ))
             } else {
                 Ok(())
@@ -549,7 +550,7 @@ mod tests {
     #[test]
     fn parses_every_declaration_kind() {
         let text = "\
-# built-in mirrors
+# built-in checkers
 order = ordered
 dedup = no_duplicates
 poison = redelivery <= 2

@@ -4,7 +4,7 @@
 //! properties; this crate makes that set open-ended. A scenario (or a
 //! standalone `.prop` file) declares named assertions in a small
 //! line-based language — per-message deadlines, latency/throughput SLO
-//! windows, fairness bounds, receive-count bounds, plus mirrors of every
+//! windows, fairness bounds, receive-count bounds, plus the name of every
 //! built-in checker — and each declaration is:
 //!
 //! 1. **parsed** ([`decl`]) into a [`PropertySpec`];
@@ -13,10 +13,11 @@
 //!    vacuous guards, spec-unsatisfiable bounds, and non-monitorable
 //!    properties are rejected or flagged *before any driver starts*;
 //! 3. **compiled** ([`compile`]) onto the streaming checker core: each
-//!    surviving property becomes a [`jmst_core::PropertyChecker`] fed by
-//!    the same observe/finish pipeline as the built-ins, so live
+//!    surviving property becomes a [`jmst_core::PropertyChecker`], one
+//!    more row of the analyzer's table after the built-ins, so live
 //!    watching, `fail_fast`, batch replay, and divergence checking work
-//!    on DSL properties unchanged.
+//!    on DSL properties unchanged. A built-in name compiles to the
+//!    built-in checker itself.
 //!
 //! # Example
 //!

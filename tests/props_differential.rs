@@ -1,17 +1,14 @@
-//! Differential acceptance tests of the property DSL: every built-in
-//! safety property re-expressed as a DSL declaration and compiled onto
-//! the streaming checker core must reach verdicts identical to the
-//! built-in checker it mirrors — same violations, same counts — over
+//! Differential acceptance tests of the property DSL's built-in names.
+//! One analyzer runs the default table and, after it, a registry that
+//! declares every built-in name (`ordered`, `no_duplicates`, `required`,
+//! `integrity`, `priority`, `expiry`, and `redelivery <= N` when the
+//! broker enforces a bound). The named rows must report exactly the
+//! violations of the default rows — same violations, same counts — over
 //! randomized fault-scripted broker runs at 1 and 8 shards, including
-//! partial traces salvaged from inconclusive or hung runs.
-//!
-//! Two analyzers look at each trace: one running only the built-in
-//! checks (the oracle), one running only the compiled DSL mirrors from
-//! `scenarios/props/builtins.prop`-style declarations. Their violation
-//! multisets must be equal, and the DSL analyzer must agree with itself
-//! across the batch and streaming paths.
+//! partial traces salvaged from inconclusive or hung runs. The analyzer
+//! must also agree with itself across the batch and streaming paths.
 
-use jmst::core::{AnalysisConfig, CheckerRegistry};
+use jmst::core::{AnalysisConfig, CheckerRegistry, Violation};
 use jmst::harness::HarnessError;
 use jmst::prelude::*;
 use jmst::props::{compile_registry, parse_properties};
@@ -20,9 +17,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The DSL mirror of every built-in check the oracle runs; the
-/// redelivery bound rides along only when the broker enforces one.
-fn mirror_registry(max_redeliveries: Option<u32>) -> CheckerRegistry {
+/// Every built-in name the default table runs; the redelivery bound
+/// rides along only when the broker enforces one.
+fn builtin_names(max_redeliveries: Option<u32>) -> CheckerRegistry {
     let mut text = String::from(
         "in_order = ordered\n\
          no_dupes = no_duplicates\n\
@@ -34,37 +31,21 @@ fn mirror_registry(max_redeliveries: Option<u32>) -> CheckerRegistry {
     if let Some(bound) = max_redeliveries {
         text.push_str(&format!("bounded = redelivery <= {bound}\n"));
     }
-    compile_registry(&parse_properties(&text).expect("mirror declarations parse"))
+    compile_registry(&parse_properties(&text).expect("built-in names parse"))
 }
 
-/// The oracle: built-in checks only, no registry.
-fn builtin_analyzer(max_redeliveries: Option<u32>) -> Analyzer {
+/// The default table, then the same checks again as named rows.
+fn analyzer(max_redeliveries: Option<u32>) -> Analyzer {
     let mut config = AnalysisConfig::default();
     if let Some(bound) = max_redeliveries {
         config = config.with_redelivery_bound(bound);
     }
-    Analyzer::with_config(config)
-}
-
-/// The subject: every built-in check off, DSL mirrors only.
-fn dsl_analyzer(max_redeliveries: Option<u32>) -> Analyzer {
-    let config = AnalysisConfig {
-        check_integrity: false,
-        check_required: false,
-        check_ordering: false,
-        check_priority: false,
-        check_expiry: false,
-        check_duplicates: false,
-        redelivery_bound: None,
-        ..AnalysisConfig::default()
-    };
-    Analyzer::with_config(config).with_registry(mirror_registry(max_redeliveries))
+    Analyzer::with_config(config).with_registry(builtin_names(max_redeliveries))
 }
 
 /// Sorted violation multiset, comparable across checker orderings.
-fn violation_multiset(report: &AnalysisReport) -> Vec<String> {
-    let mut set: Vec<String> = report
-        .violations
+fn multiset(violations: &[Violation]) -> Vec<String> {
+    let mut set: Vec<String> = violations
         .iter()
         .map(|violation| format!("{violation:?}"))
         .collect();
@@ -90,33 +71,20 @@ fn streaming_report(analyzer: &Analyzer, trace: &Trace) -> AnalysisReport {
     consumer.join().expect("streaming analysis thread")
 }
 
-fn assert_dsl_matches_builtin(trace: &Trace, max_redeliveries: Option<u32>, context: &str) {
-    let oracle = builtin_analyzer(max_redeliveries).analyze(trace);
-    let dsl = dsl_analyzer(max_redeliveries);
-    let batch = dsl.analyze(trace);
+fn assert_named_rows_match_defaults(trace: &Trace, max_redeliveries: Option<u32>, context: &str) {
+    let analyzer = analyzer(max_redeliveries);
+    let report = analyzer.analyze(trace);
+    // Named rows follow the default rows, so their violations are the
+    // tail of the report's list.
+    let named: usize = report.named.iter().map(|outcome| outcome.violations).sum();
+    let (defaults, named) = report.violations.split_at(report.violations.len() - named);
     assert_eq!(
-        violation_multiset(&oracle),
-        violation_multiset(&batch),
-        "DSL mirrors diverged from the built-ins: {context}"
+        multiset(defaults),
+        multiset(named),
+        "built-in names diverged from the default table: {context}"
     );
-    // The oracle runs no named checkers; the subject attributes every
-    // violation to one.
-    assert!(oracle.named.is_empty());
-    assert_eq!(
-        batch.violations.len(),
-        batch
-            .named
-            .iter()
-            .map(|outcome| outcome.violations)
-            .sum::<usize>(),
-        "named outcome counts do not add up: {context}"
-    );
-    // And the DSL analyzer agrees with itself across both drive modes.
-    let streamed = streaming_report(&dsl, trace);
-    assert_eq!(
-        batch, streamed,
-        "DSL batch vs streaming diverged: {context}"
-    );
+    let streamed = streaming_report(&analyzer, trace);
+    assert_eq!(report, streamed, "batch vs streaming diverged: {context}");
 }
 
 /// One generated fault/recovery script for a short broker run.
@@ -204,8 +172,8 @@ fn script_broker(script: &FaultScript) -> ReferenceBroker {
 }
 
 /// Runs the script, salvaging the partial trace when the faults made
-/// the run inconclusive — the mirrors must agree on salvaged traces
-/// just as on completed ones.
+/// the run inconclusive — the named rows must agree on salvaged
+/// traces just as on completed ones.
 fn script_trace(script: &FaultScript) -> Trace {
     let broker = script_broker(script);
     let admin: Arc<dyn BrokerAdmin> = Arc::new(broker.clone());
@@ -221,14 +189,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn dsl_mirrors_equal_builtins_under_random_fault_scripts(script in arb_script()) {
+    fn builtin_names_equal_default_rows_under_random_fault_scripts(script in arb_script()) {
         let trace = script_trace(&script);
-        assert_dsl_matches_builtin(&trace, script.max_redeliveries, &format!("{script:?}"));
+        assert_named_rows_match_defaults(&trace, script.max_redeliveries, &format!("{script:?}"));
     }
 }
 
 #[test]
-fn dsl_mirrors_equal_builtins_on_clean_sharded_runs() {
+fn builtin_names_equal_default_rows_on_clean_sharded_runs() {
     for shards in [1usize, 8] {
         let script = FaultScript {
             shards,
@@ -241,12 +209,12 @@ fn dsl_mirrors_equal_builtins_on_clean_sharded_runs() {
             max_redeliveries: None,
         };
         let trace = script_trace(&script);
-        assert_dsl_matches_builtin(&trace, None, &format!("clean run, {shards} shard(s)"));
+        assert_named_rows_match_defaults(&trace, None, &format!("clean run, {shards} shard(s)"));
     }
 }
 
 #[test]
-fn dsl_mirrors_equal_builtins_through_crash_recovery_with_dlq() {
+fn builtin_names_equal_default_rows_through_crash_recovery_with_dlq() {
     let script = FaultScript {
         shards: 8,
         seed: 7,
@@ -259,8 +227,8 @@ fn dsl_mirrors_equal_builtins_through_crash_recovery_with_dlq() {
     };
     let trace = script_trace(&script);
     // Heavy ack loss with a tight redelivery bound parks messages on the
-    // DLQ; the mirrors must account for them exactly like the built-ins.
-    assert_dsl_matches_builtin(&trace, Some(2), "crash + ack loss + DLQ");
+    // DLQ; the named rows must account for them exactly like the defaults.
+    assert_named_rows_match_defaults(&trace, Some(2), "crash + ack loss + DLQ");
 }
 
 #[test]
