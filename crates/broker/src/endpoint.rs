@@ -75,25 +75,38 @@ pub type Waker = Arc<dyn Fn() + Send + Sync>;
 /// buffer lock — whenever a message may have become available or the
 /// end-point's state changed.
 ///
-/// The atomic count lets the hot publish path skip the waker lock
-/// entirely when nobody registered.
+/// The registered set is an immutable snapshot that `add`, `remove` and
+/// `clear` rebuild (registration is rare; publishing is not), so a fire
+/// costs one `Arc` clone rather than a copy of the list. The atomic
+/// count lets the hot publish path skip the waker lock entirely when
+/// nobody registered.
 #[derive(Default)]
 struct WakerSet {
     count: AtomicUsize,
-    wakers: Mutex<Vec<Waker>>,
+    wakers: Mutex<Arc<[Waker]>>,
 }
 
 impl WakerSet {
-    fn add(&self, waker: Waker) {
+    /// Swaps in the snapshot `rebuild` makes from the current one.
+    fn rebuild(&self, rebuild: impl FnOnce(&[Waker]) -> Arc<[Waker]>) {
         let mut wakers = self.wakers.lock();
-        wakers.push(waker);
-        self.count.store(wakers.len(), Ordering::Release);
+        let fresh = rebuild(&wakers);
+        self.count.store(fresh.len(), Ordering::Release);
+        *wakers = fresh;
+    }
+
+    fn add(&self, waker: Waker) {
+        self.rebuild(|wakers| wakers.iter().cloned().chain([waker]).collect());
     }
 
     fn remove(&self, waker: &Waker) {
-        let mut wakers = self.wakers.lock();
-        wakers.retain(|registered| !Arc::ptr_eq(registered, waker));
-        self.count.store(wakers.len(), Ordering::Release);
+        self.rebuild(|wakers| {
+            wakers
+                .iter()
+                .filter(|registered| !Arc::ptr_eq(registered, waker))
+                .cloned()
+                .collect()
+        });
     }
 
     /// Invokes every registered waker. Must be called with the
@@ -101,17 +114,15 @@ impl WakerSet {
     /// and may re-enter the end-point.
     fn fire(&self) {
         if self.count.load(Ordering::Acquire) > 0 {
-            let wakers: Vec<_> = self.wakers.lock().clone();
-            for waker in wakers {
+            let wakers = Arc::clone(&self.wakers.lock());
+            for waker in wakers.iter() {
                 waker();
             }
         }
     }
 
     fn clear(&self) {
-        let mut wakers = self.wakers.lock();
-        wakers.clear();
-        self.count.store(0, Ordering::Release);
+        self.rebuild(|_| Arc::default());
     }
 }
 

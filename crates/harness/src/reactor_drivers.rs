@@ -121,6 +121,7 @@ pub(crate) fn run_reactor_drivers(
             last_delivery: Instant::now(),
             reconnect_cycles: 0,
             paused_until: None,
+            repoll_at: 0,
             started: false,
             finished: false,
         }));
@@ -408,9 +409,9 @@ impl Task for ProducerTask {
 /// reference broker does), deliveries enqueue the task on the ready
 /// list directly; the `POLL` timer is only the safety net.
 ///
-/// Wakes are hints, not commands: a provider waker or a stale `POLL`
-/// timer may poll the task while it is meant to be idle, so every pause
-/// (think time, reconnect pause, retry backoff) is held by `paused_until`
+/// Wakes are hints, not commands: a provider waker or a `POLL` timer
+/// may poll the task while it is meant to be idle, so every pause (think
+/// time, reconnect pause, retry backoff) is held by `paused_until`
 /// rather than by the timer alone.
 struct ConsumerTask {
     shared: Arc<RunShared>,
@@ -428,6 +429,10 @@ struct ConsumerTask {
     /// Reactor time (nanoseconds) before which the consumer must not
     /// act; its timer is armed by [`ConsumerTask::pause`].
     paused_until: Option<u64>,
+    /// Reactor time (nanoseconds) the last `POLL` timer fires at. The
+    /// wheel cannot cancel a timer, so an empty receive arms a new one
+    /// only once the last has fired.
+    repoll_at: u64,
     started: bool,
     finished: bool,
 }
@@ -636,8 +641,11 @@ impl Task for ConsumerTask {
                     }
                     // The provider's waker (when supported) beats this
                     // timer; either way the drain-quiet window is
-                    // re-checked every `POLL`.
-                    cx.wake_after(POLL);
+                    // re-checked within `POLL`.
+                    if cx.now_nanos() >= self.repoll_at {
+                        self.repoll_at = cx.now_nanos() + POLL.as_nanos() as u64;
+                        cx.wake_at_nanos(self.repoll_at);
+                    }
                     return Poll::Pending;
                 }
                 Err(_) => {

@@ -70,6 +70,11 @@ struct DrainTask {
     /// Whether the provider accepted our reactor waker (set on first
     /// poll).
     wakeable: Option<bool>,
+    /// When the re-poll timer armed last fires. The wheel cannot cancel
+    /// a timer, so a task woken by arrivals arms a new one only once the
+    /// last has fired; otherwise every wake would leave a stale timer
+    /// that later polls the task for nothing.
+    repoll_at: Duration,
 }
 
 impl DrainTask {
@@ -122,15 +127,46 @@ impl Task for DrainTask {
             };
         }
         // The waker covers arrivals; the timer covers everything the
-        // waker cannot see (no waker support, visibility edges).
-        let re_poll = if self.wakeable == Some(true) {
-            IDLE_SLICE
-        } else {
-            POLL_FALLBACK
-        };
-        cx.wake_after(re_poll);
+        // waker cannot see (no waker support, visibility edges). One is
+        // outstanding at a time, so the task is re-polled at most one
+        // slice after any poll.
+        if cx.now() >= self.repoll_at {
+            let re_poll = if self.wakeable == Some(true) {
+                IDLE_SLICE
+            } else {
+                POLL_FALLBACK
+            };
+            self.repoll_at = cx.now() + re_poll;
+            cx.wake_after(re_poll);
+        }
         Poll::Pending
     }
+}
+
+/// One worker holding the drain slot and one [`DrainTask`] per consumer.
+/// It keeps the kernel's default timer slack: arrivals wake its tasks
+/// through the ready list, and its timers are only safety re-polls.
+fn drain_reactor(consumers: Vec<Box<dyn Consumer>>, epoch: Instant) -> Reactor {
+    let mut reactor = Reactor::new(1);
+    reactor.set_worker_state(
+        0,
+        Box::new(DrainSlot {
+            report: DrainReport {
+                received: 0,
+                latency: LogHistogram::new(),
+                unstamped: 0,
+            },
+        }),
+    );
+    for consumer in consumers {
+        reactor.spawn(Box::new(DrainTask {
+            consumer,
+            epoch,
+            wakeable: None,
+            repoll_at: Duration::ZERO,
+        }));
+    }
+    reactor
 }
 
 impl DrainPump {
@@ -141,25 +177,7 @@ impl DrainPump {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            let mut reactor = Reactor::new(1);
-            reactor.set_worker_state(
-                0,
-                Box::new(DrainSlot {
-                    report: DrainReport {
-                        received: 0,
-                        latency: LogHistogram::new(),
-                        unstamped: 0,
-                    },
-                }),
-            );
-            for consumer in consumers {
-                reactor.spawn(Box::new(DrainTask {
-                    consumer,
-                    epoch,
-                    wakeable: None,
-                }));
-            }
-            let outcome = reactor.run(Some(stop_flag), None);
+            let outcome = drain_reactor(consumers, epoch).run(Some(stop_flag), None);
             let slot = outcome
                 .worker_states
                 .into_iter()
@@ -177,5 +195,129 @@ impl DrainPump {
     pub fn stop(self) -> DrainReport {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("drain reactor panicked")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::ClockSource;
+    use jmst_api::destination::Destination;
+    use jmst_api::error::Error;
+    use jmst_api::id::ConsumerId;
+    use jmst_api::message::Message;
+    use jmst_api::time::Clock;
+    use jmst_sim::VirtualClock;
+    use std::sync::Mutex;
+
+    type Callback = Arc<dyn Fn() + Send + Sync>;
+
+    /// A consumer that never has a message: it hands out its waker and
+    /// logs the clock time of every receive (one per drain poll).
+    struct Empty {
+        destination: Destination,
+        clock: Arc<VirtualClock>,
+        waker: Arc<Mutex<Option<Callback>>>,
+        receives: Arc<Mutex<Vec<Duration>>>,
+    }
+
+    impl Consumer for Empty {
+        fn id(&self) -> ConsumerId {
+            ConsumerId::from_raw(1)
+        }
+
+        fn destination(&self) -> &Destination {
+            &self.destination
+        }
+
+        fn selector(&self) -> Option<&str> {
+            None
+        }
+
+        fn receive(&mut self, _: Option<Duration>) -> Result<Option<Message>, Error> {
+            Ok(None)
+        }
+
+        fn try_receive_batch(&mut self, _: usize) -> Result<Vec<Message>, Error> {
+            let now = Duration::from_nanos(self.clock.now().as_nanos());
+            self.receives.lock().unwrap().push(now);
+            Ok(Vec::new())
+        }
+
+        fn set_waker(&mut self, waker: Callback) -> bool {
+            *self.waker.lock().unwrap() = Some(waker);
+            true
+        }
+
+        fn acknowledge(&mut self) -> Result<(), Error> {
+            Ok(())
+        }
+
+        fn close(&mut self) -> Result<(), Error> {
+            Ok(())
+        }
+    }
+
+    /// Fires the drain's waker `left` times, `gap` apart.
+    struct Pinger {
+        waker: Arc<Mutex<Option<Callback>>>,
+        gap: Duration,
+        left: u32,
+    }
+
+    impl Task for Pinger {
+        fn poll(&mut self, cx: &mut Context<'_>) -> Poll {
+            if cx.stopping() || self.left == 0 {
+                return Poll::Ready;
+            }
+            if let Some(wake) = self.waker.lock().unwrap().as_ref() {
+                wake();
+            }
+            self.left -= 1;
+            cx.wake_after(self.gap);
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    fn a_burst_of_wakes_leaves_one_re_poll_timer() {
+        const WAKES: u32 = 1_000;
+        const GAP: Duration = Duration::from_micros(50);
+        const QUIET: Duration = Duration::from_secs(1);
+        let clock = Arc::new(VirtualClock::new());
+        let waker = Arc::new(Mutex::new(None));
+        let receives = Arc::new(Mutex::new(Vec::new()));
+        let consumer = Empty {
+            destination: Destination::queue("q"),
+            clock: Arc::clone(&clock),
+            waker: Arc::clone(&waker),
+            receives: Arc::clone(&receives),
+        };
+        let mut reactor = drain_reactor(vec![Box::new(consumer)], Instant::now())
+            .with_clock(Arc::new(ClockSource(clock)));
+        // Pre-armed, so the first wake lands after the drain's first
+        // poll has handed out its waker.
+        reactor.spawn_at(
+            0,
+            GAP.as_nanos() as u64,
+            Box::new(Pinger {
+                waker,
+                gap: GAP,
+                left: WAKES,
+            }),
+        );
+        let burst = GAP * WAKES;
+        reactor.run(None, Some(burst + QUIET));
+        let receives = receives.lock().unwrap();
+        assert!(
+            receives.len() > WAKES as usize,
+            "every wake polls the drain"
+        );
+        let quiet = receives.iter().filter(|&&at| at > burst).count();
+        let bound = (QUIET.as_nanos() / IDLE_SLICE.as_nanos()) as usize + 2;
+        assert!(
+            quiet <= bound,
+            "{quiet} polls in the quiet second after {WAKES} wakes (at most {bound})"
+        );
     }
 }

@@ -285,9 +285,12 @@ impl LoadEngine {
             self.workers,
             "one transport per worker required"
         );
+        // Clients arm absolute intended times, so a late timer is pure
+        // error: it adds to both send lag and delivery latency.
         let mut reactor = Reactor::new(self.workers)
             .with_timer_resolution(self.tick, self.wheel_slots)
-            .with_clock(Arc::clone(&self.clock));
+            .with_clock(Arc::clone(&self.clock))
+            .with_exact_timers();
         for (worker, transport) in transports.into_iter().enumerate() {
             reactor.set_worker_state(
                 worker,

@@ -28,9 +28,16 @@
 //! on its own thread, and only once every wheel is built is the shared
 //! epoch taken. A million pre-armed virtual clients therefore cost one
 //! sort per worker before the clock starts, not a million polls after.
+//!
+//! A timed park on real time may wake up to the kernel's timer slack
+//! after its deadline (50 µs by default on Linux). A reactor built
+//! [`with_exact_timers`](Reactor::with_exact_timers) has each worker set
+//! its own thread's slack to 1 ns before the start line, so its timers
+//! fire at their deadlines.
 
 use crate::clock::{RunClock, WallClock};
 use crate::ready::ReadyList;
+use crate::slack;
 use crate::task::{Context, Poll, Task};
 use crate::wheel::TimingWheel;
 use std::any::Any;
@@ -78,6 +85,7 @@ pub struct Reactor {
     slots: usize,
     next_worker: usize,
     clock: Arc<dyn RunClock>,
+    exact_timers: bool,
 }
 
 /// Everything one worker starts with.
@@ -113,6 +121,7 @@ impl Reactor {
             slots: 4096,
             next_worker: 0,
             clock: Arc::new(WallClock::new()),
+            exact_timers: false,
         }
     }
 
@@ -121,6 +130,21 @@ impl Reactor {
     /// deadline whenever nothing is ready.
     pub fn with_clock(mut self, clock: Arc<dyn RunClock>) -> Self {
         self.clock = clock;
+        self
+    }
+
+    /// Makes every worker wake at its timer deadlines rather than up to
+    /// the kernel's timer slack later: each worker thread sets its own
+    /// slack to 1 ns before the epoch (`PR_SET_TIMERSLACK` on Linux; a
+    /// no-op elsewhere). The setting ends with the worker thread.
+    ///
+    /// Meant for tasks that arm absolute deadlines, where lateness is
+    /// pure error. Tasks that pace themselves with
+    /// [`Context::wake_after`] from *now* run slower under the default
+    /// slack, and would change speed with it. A worker on a clock the
+    /// reactor moves never parks, so it leaves its slack alone.
+    pub fn with_exact_timers(mut self) -> Self {
+        self.exact_timers = true;
         self
     }
 
@@ -204,8 +228,9 @@ impl Reactor {
     pub fn run(self, stop: Option<Arc<AtomicBool>>, run_for: Option<Duration>) -> RunOutcome {
         // Moving a clock to where it already is changes nothing, and
         // tells whether it can be moved at all.
+        let movable = self.clock.advance_to(self.clock.now_nanos());
         assert!(
-            self.workers.len() == 1 || !self.clock.advance_to(self.clock.now_nanos()),
+            self.workers.len() == 1 || !movable,
             "a clock the reactor moves needs exactly one worker, not {}",
             self.workers.len()
         );
@@ -223,6 +248,7 @@ impl Reactor {
                 stop: stop.clone(),
                 run_for,
                 halt: Arc::clone(&halt),
+                exact_timers: self.exact_timers && !movable,
             };
             handles.push(std::thread::spawn(move || worker_loop(worker, seed, run)));
         }
@@ -261,6 +287,7 @@ impl std::fmt::Debug for Reactor {
             .field("tick", &self.tick)
             .field("slots", &self.slots)
             .field("clock", &self.clock)
+            .field("exact_timers", &self.exact_timers)
             .finish()
     }
 }
@@ -285,6 +312,8 @@ struct WorkerRun {
     stop: Option<Arc<AtomicBool>>,
     run_for: Option<Duration>,
     halt: Arc<AtomicBool>,
+    /// Set this worker thread's timer slack to 1 ns before the start.
+    exact_timers: bool,
 }
 
 fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
@@ -303,6 +332,7 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
         stop,
         run_for,
         halt,
+        exact_timers,
     } = run;
     let ready = Arc::new(ReadyList::new(tasks.len()));
     let mut slots_vec: Vec<Option<Box<dyn Task>>> = tasks.into_iter().map(Some).collect();
@@ -315,6 +345,9 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
     let mut completed = 0usize;
     let mut polls = 0u64;
     let mut due = Vec::new();
+    if exact_timers {
+        slack::exact_timers();
+    }
 
     // The clock starts only once every worker's wheel is built, so the
     // first pre-armed deadline fires on time.
@@ -763,6 +796,44 @@ mod tests {
         Reactor::new(2)
             .with_clock(Arc::new(StepClock::default()))
             .run(None, None);
+    }
+
+    /// Records its worker thread's timer slack on its first poll.
+    #[cfg(target_os = "linux")]
+    struct ReadSlack(Arc<AtomicU64>);
+
+    #[cfg(target_os = "linux")]
+    impl Task for ReadSlack {
+        fn poll(&mut self, _: &mut Context<'_>) -> Poll {
+            self.0.store(slack::current_nanos(), Ordering::Relaxed);
+            Poll::Ready
+        }
+    }
+
+    /// The timer slack a task of `reactor` saw while it ran.
+    #[cfg(target_os = "linux")]
+    fn worker_slack(mut reactor: Reactor) -> u64 {
+        let seen = Arc::new(AtomicU64::new(u64::MAX));
+        reactor.spawn(Box::new(ReadSlack(Arc::clone(&seen))));
+        assert_eq!(reactor.run(None, None).completed, 1);
+        seen.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn exact_timers_set_the_worker_slack_on_real_time_only() {
+        let inherited = slack::current_nanos();
+        assert_eq!(worker_slack(Reactor::new(1).with_exact_timers()), 1);
+        assert_eq!(worker_slack(Reactor::new(1)), inherited);
+        let moved = Reactor::new(1)
+            .with_clock(Arc::new(StepClock::default()))
+            .with_exact_timers();
+        assert_eq!(worker_slack(moved), inherited);
+        assert_eq!(
+            slack::current_nanos(),
+            inherited,
+            "the caller's slack is its own"
+        );
     }
 
     /// Yields a fixed number of times, then completes.

@@ -54,6 +54,7 @@
 mod clock;
 mod executor;
 mod ready;
+mod slack;
 mod task;
 mod wheel;
 
