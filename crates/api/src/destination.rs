@@ -5,10 +5,11 @@
 use crate::id::{ClientId, ConsumerId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The name of a point-to-point queue.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct QueueName(String);
+pub struct QueueName(#[serde(with = "crate::shared::arc_str")] Arc<str>);
 
 impl QueueName {
     /// Creates a queue name.
@@ -22,7 +23,7 @@ impl QueueName {
     /// assert_eq!(q.as_str(), "orders");
     /// ```
     pub fn new(name: impl Into<String>) -> Self {
-        Self(name.into())
+        Self(name.into().into())
     }
 
     /// Returns the queue name as a string slice.
@@ -39,19 +40,19 @@ impl fmt::Display for QueueName {
 
 impl From<&str> for QueueName {
     fn from(name: &str) -> Self {
-        Self::new(name)
+        Self(name.into())
     }
 }
 
 impl From<String> for QueueName {
     fn from(name: String) -> Self {
-        Self(name)
+        Self(name.into())
     }
 }
 
 /// The name of a publish/subscribe topic.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct TopicName(String);
+pub struct TopicName(#[serde(with = "crate::shared::arc_str")] Arc<str>);
 
 impl TopicName {
     /// Creates a topic name.
@@ -65,7 +66,7 @@ impl TopicName {
     /// assert_eq!(t.as_str(), "prices");
     /// ```
     pub fn new(name: impl Into<String>) -> Self {
-        Self(name.into())
+        Self(name.into().into())
     }
 
     /// Returns the topic name as a string slice.
@@ -82,13 +83,13 @@ impl fmt::Display for TopicName {
 
 impl From<&str> for TopicName {
     fn from(name: &str) -> Self {
-        Self::new(name)
+        Self(name.into())
     }
 }
 
 impl From<String> for TopicName {
     fn from(name: String) -> Self {
-        Self(name)
+        Self(name.into())
     }
 }
 
@@ -196,7 +197,8 @@ pub enum EndpointId {
         /// The owning client.
         client: ClientId,
         /// The subscription's name, unique within the client.
-        name: String,
+        #[serde(with = "crate::shared::arc_str")]
+        name: Arc<str>,
     },
     /// The artificial subscription of one non-durable subscriber.
     NonDurableSubscription {
@@ -218,7 +220,7 @@ impl EndpointId {
         EndpointId::DurableSubscription {
             topic,
             client,
-            name: name.into(),
+            name: name.into().into(),
         }
     }
 
@@ -325,5 +327,83 @@ mod tests {
         assert_eq!(q, QueueName::new(String::from("orders")));
         let t: TopicName = String::from("prices").into();
         assert_eq!(t.as_str(), "prices");
+    }
+
+    fn hash_of(value: &impl std::hash::Hash) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(value)
+    }
+
+    /// Two values built from separate buffers with the same content.
+    fn assert_same_by_content<T: Ord + std::hash::Hash + fmt::Debug>(a: T, b: T) {
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    #[test]
+    fn names_from_separate_buffers_compare_hash_and_sort_by_content() {
+        let queue = QueueName::new(String::from("orders"));
+        let other = QueueName::from("orders");
+        assert!(!Arc::ptr_eq(&queue.0, &other.0));
+        assert_same_by_content(queue, other);
+        assert_same_by_content(
+            TopicName::new("prices"),
+            TopicName::from(String::from("prices")),
+        );
+        assert_same_by_content(ClientId::new("c"), ClientId::from("c"));
+        assert_same_by_content(
+            Destination::queue("q"),
+            Destination::queue(String::from("q")),
+        );
+        assert_same_by_content(
+            EndpointId::durable(TopicName::new("t"), ClientId::new("c"), "audit"),
+            EndpointId::durable(
+                TopicName::from("t"),
+                ClientId::from("c"),
+                String::from("audit"),
+            ),
+        );
+        assert_same_by_content(
+            EndpointId::non_durable(TopicName::new("t"), ConsumerId::from_raw(1)),
+            EndpointId::non_durable(TopicName::from("t"), ConsumerId::from_raw(1)),
+        );
+        // A name hashes as its text does, so hashed maps bucket it alike.
+        assert_eq!(hash_of(&QueueName::new("orders")), hash_of(&"orders"));
+        assert!(QueueName::new("a") < QueueName::new("b"));
+        assert!(TopicName::new("ab") < TopicName::new("b"));
+    }
+
+    #[test]
+    fn endpoint_map_iterates_in_variant_then_content_order() {
+        let topic = |name: &str| TopicName::new(name);
+        let endpoints = [
+            EndpointId::non_durable(topic("a"), ConsumerId::from_raw(2)),
+            EndpointId::durable(topic("b"), ClientId::new("c"), "x"),
+            EndpointId::for_queue(QueueName::new("q2")),
+            EndpointId::durable(topic("a"), ClientId::new("d"), "x"),
+            EndpointId::non_durable(topic("a"), ConsumerId::from_raw(1)),
+            EndpointId::for_queue(QueueName::new("q10")),
+            EndpointId::durable(topic("a"), ClientId::new("c"), "y"),
+            EndpointId::durable(topic("a"), ClientId::new("c"), "x"),
+            EndpointId::non_durable(topic("B"), ConsumerId::from_raw(9)),
+        ];
+        let map: std::collections::BTreeMap<EndpointId, usize> =
+            endpoints.iter().cloned().zip(0..).collect();
+        let order: Vec<String> = map.keys().map(ToString::to_string).collect();
+        assert_eq!(
+            order,
+            [
+                "queue:q10",
+                "queue:q2",
+                "durable:c/x@topic:a",
+                "durable:c/y@topic:a",
+                "durable:d/x@topic:a",
+                "durable:c/x@topic:b",
+                "sub:cons-9@topic:B",
+                "sub:cons-1@topic:a",
+                "sub:cons-2@topic:a",
+            ]
+        );
     }
 }

@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
@@ -171,7 +172,7 @@ impl IdGenerator {
 /// clients may both own a durable subscription called `"audit"` without
 /// clashing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ClientId(String);
+pub struct ClientId(#[serde(with = "crate::shared::arc_str")] Arc<str>);
 
 impl ClientId {
     /// Creates a client identifier from a name.
@@ -185,7 +186,7 @@ impl ClientId {
     /// assert_eq!(id.as_str(), "auditor");
     /// ```
     pub fn new(name: impl Into<String>) -> Self {
-        Self(name.into())
+        Self(name.into().into())
     }
 
     /// Returns the client name as a string slice.
@@ -202,13 +203,13 @@ impl fmt::Display for ClientId {
 
 impl From<&str> for ClientId {
     fn from(name: &str) -> Self {
-        Self::new(name)
+        Self(name.into())
     }
 }
 
 impl From<String> for ClientId {
     fn from(name: String) -> Self {
-        Self(name)
+        Self(name.into())
     }
 }
 

@@ -46,6 +46,7 @@ pub mod modes;
 pub mod properties;
 pub mod provider;
 pub mod selector;
+mod shared;
 pub mod time;
 pub mod value;
 

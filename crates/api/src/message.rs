@@ -206,31 +206,12 @@ struct MessageInner {
 /// body. Only the `redelivered` flag is per-delivery state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Message {
-    #[serde(with = "arc_inner")]
+    #[serde(with = "crate::shared::arc")]
     inner: Arc<MessageInner>,
     redelivered: bool,
     /// 1-based count of deliveries this instance represents (the JMS
     /// `JMSXDeliveryCount`).
     delivery_count: u32,
-}
-
-mod arc_inner {
-    use super::MessageInner;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::sync::Arc;
-
-    pub fn serialize<S: Serializer>(
-        value: &Arc<MessageInner>,
-        serializer: S,
-    ) -> Result<S::Ok, S::Error> {
-        value.as_ref().serialize(serializer)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        deserializer: D,
-    ) -> Result<Arc<MessageInner>, D::Error> {
-        Ok(Arc::new(MessageInner::deserialize(deserializer)?))
-    }
 }
 
 impl Message {

@@ -4,6 +4,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A set of named, typed message properties.
 ///
@@ -12,6 +13,12 @@ use std::fmt;
 /// with `JMSX` are reserved for provider use but are accepted here so that
 /// providers built on this crate can set them. Byte-array values are
 /// rejected, as in JMS.
+///
+/// The entries live behind an [`Arc`]: a clone shares them, so the sent
+/// message, the record of its send and the records of all its receives
+/// hold one map. [`Properties::set`] and [`Properties::remove`] copy the
+/// map first if it is shared (copy-on-write), so a change to one copy
+/// never shows in another.
 ///
 /// # Examples
 ///
@@ -28,7 +35,8 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Properties {
-    entries: BTreeMap<String, Value>,
+    #[serde(with = "crate::shared::arc")]
+    entries: Arc<BTreeMap<String, Value>>,
 }
 
 impl Properties {
@@ -67,7 +75,7 @@ impl Properties {
         if !value.is_valid_property() {
             return Err(PropertyError::InvalidType { name });
         }
-        Ok(self.entries.insert(name, value))
+        Ok(Arc::make_mut(&mut self.entries).insert(name, value))
     }
 
     /// Returns the value of property `name`, if set.
@@ -82,7 +90,10 @@ impl Properties {
 
     /// Removes property `name`, returning its value if it was set.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.entries.remove(name)
+        if !self.entries.contains_key(name) {
+            return None;
+        }
+        Arc::make_mut(&mut self.entries).remove(name)
     }
 
     /// Returns the number of properties.
@@ -232,6 +243,40 @@ mod tests {
         props.set("a", Value::Int(1)).unwrap();
         props.set("b", Value::from("x")).unwrap();
         assert_eq!(props.to_string(), "{a=1, b='x'}");
+    }
+
+    #[test]
+    fn a_clone_shares_the_map_until_one_side_writes() {
+        let mut original = Properties::new();
+        original.set("region", Value::from("emea")).unwrap();
+        original.set("tier", Value::Int(2)).unwrap();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.entries, &copy.entries));
+
+        // A write to the copy leaves the original as it was.
+        copy.set("tier", Value::Int(3)).unwrap();
+        copy.set("extra", Value::Bool(true)).unwrap();
+        assert!(!Arc::ptr_eq(&original.entries, &copy.entries));
+        assert_eq!(original.get("tier"), Some(&Value::Int(2)));
+        assert!(!original.contains("extra"));
+        assert_eq!(copy.get("tier"), Some(&Value::Int(3)));
+
+        // And the reverse: a write to the original leaves the copy.
+        let mut original = copy.clone();
+        assert_eq!(original.remove("region"), Some(Value::from("emea")));
+        assert_eq!(original.len(), 2);
+        assert_eq!(copy.get("region"), Some(&Value::from("emea")));
+        assert_eq!(copy.len(), 3);
+    }
+
+    #[test]
+    fn removing_an_absent_name_keeps_the_map_shared() {
+        let mut original = Properties::new();
+        original.set("a", Value::Int(1)).unwrap();
+        let mut copy = original.clone();
+        assert_eq!(copy.remove("missing"), None);
+        assert!(Arc::ptr_eq(&original.entries, &copy.entries));
+        assert_eq!(copy, original);
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! Criterion micro-benchmarks of the analysis pipeline: full property
-//! checking over traces of increasing size, and the selector engine in
-//! isolation.
+//! checking over traces of increasing size, the checker layer on topic
+//! fan-out traffic that carries user properties, and the selector engine
+//! in isolation.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use jmst_api::body::Body;
+use jmst_api::destination::{Destination, EndpointId, TopicName};
+use jmst_api::id::{ConsumerId, MessageId, NodeId, ProducerId, SessionId};
+use jmst_api::message::{MessageDraft, Stamp};
+use jmst_api::modes::SessionMode;
 use jmst_api::selector::Selector;
-use jmst_core::Analyzer;
+use jmst_api::time::Timestamp;
+use jmst_api::value::Value;
+use jmst_core::{AnalysisConfig, Analyzer};
 use jmst_harness::model::{PubSubScenario, PublisherSpec};
 use jmst_sim::ServiceModel;
+use jmst_store::event::{Event, EventKind, MessageRecord, Phase};
 use std::time::Duration;
 
 fn trace_of(messages_per_sec: f64, seconds: u64) -> jmst_store::Trace {
@@ -42,6 +51,171 @@ fn full_analysis(c: &mut Criterion) {
         });
         group.finish();
     }
+}
+
+/// Subscribers of the one topic in `fanout_props`.
+const SUBSCRIBERS: u64 = 3;
+
+/// A clean fan-out trace: two producers send `messages` messages to one
+/// topic, each with the harness's four properties (two identity
+/// properties and two spec-declared ones), and each of three non-durable
+/// subscribers receives every one. Every record is built from the sent
+/// message as the recorder builds it, so records share what a live run's
+/// records share.
+fn fanout_events(messages: u64) -> Vec<Event> {
+    let topic = TopicName::new("fanout");
+    let endpoints: Vec<EndpointId> = (1..=SUBSCRIBERS)
+        .map(|consumer| EndpointId::non_durable(topic.clone(), ConsumerId::from_raw(consumer)))
+        .collect();
+    let mut events = Vec::with_capacity((messages * (SUBSCRIBERS + 1) + 8) as usize);
+    let mut push = |at: Timestamp, kind: EventKind| {
+        events.push(Event {
+            seq: events.len() as u64,
+            at,
+            node: NodeId::from_raw(0),
+            kind,
+        })
+    };
+    push(
+        Timestamp::ZERO,
+        EventKind::PhaseStarted { phase: Phase::Run },
+    );
+    for (consumer, endpoint) in (1..).zip(&endpoints) {
+        push(
+            Timestamp::ZERO,
+            EventKind::ConsumerCreated {
+                consumer: ConsumerId::from_raw(consumer),
+                endpoint: endpoint.clone(),
+                session_mode: SessionMode::AutoAcknowledge,
+                selector: None,
+            },
+        );
+    }
+    for i in 0..messages {
+        let (producer, sequence) = (i % 2, i / 2);
+        let sent_at = Timestamp::from_micros((i + 1) * 20);
+        let message = MessageDraft::new(Body::text("x".repeat(64)))
+            .property("jmst_producer", Value::Long(producer as i64))
+            .and_then(|draft| draft.property("jmst_seq", Value::Long(sequence as i64)))
+            .and_then(|draft| draft.property("region", Value::from("emea")))
+            .and_then(|draft| draft.property("tier", Value::Int(2)))
+            .expect("valid properties")
+            .stamp(Stamp {
+                id: MessageId::from_raw(i + 1),
+                producer: ProducerId::from_raw(producer),
+                sequence,
+                destination: Destination::Topic(topic.clone()),
+                sent_at,
+            });
+        push(
+            sent_at,
+            EventKind::Send {
+                record: MessageRecord::from_message(&message),
+                session: SessionId::from_raw(producer),
+                tx: None,
+            },
+        );
+        for (consumer, endpoint) in (1..).zip(&endpoints) {
+            push(
+                Timestamp::from_nanos(sent_at.as_nanos() + 5_000 * consumer),
+                EventKind::Receive {
+                    consumer: ConsumerId::from_raw(consumer),
+                    endpoint: endpoint.clone(),
+                    record: MessageRecord::from_message(&message),
+                    session: SessionId::from_raw(10 + consumer),
+                    tx: None,
+                },
+            );
+        }
+    }
+    push(
+        Timestamp::from_micros((messages + 2) * 20),
+        EventKind::PhaseStarted {
+            phase: Phase::WarmDown,
+        },
+    );
+    events
+}
+
+/// The default configuration with every built-in check off; the
+/// performance accumulators always run.
+fn checks_off() -> AnalysisConfig {
+    AnalysisConfig {
+        check_integrity: false,
+        check_required: false,
+        check_ordering: false,
+        check_priority: false,
+        check_expiry: false,
+        check_duplicates: false,
+        redelivery_bound: None,
+        ..AnalysisConfig::default()
+    }
+}
+
+/// The checker layer on fan-out traffic with user properties: observe
+/// cost per event for each built-in check alone (over the performance
+/// accumulators, `observe/none`) and for all of them, the cost of
+/// `finish`, and the cost of copying one record and one event.
+fn fanout_props(c: &mut Criterion) {
+    let events = fanout_events(30_000);
+    let count = events.len() as u64;
+    let only = |set: fn(&mut AnalysisConfig)| {
+        let mut config = checks_off();
+        set(&mut config);
+        Analyzer::with_config(config)
+    };
+    let mut group = c.benchmark_group(format!("fanout_props/{count}_events"));
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(count));
+    let rows: [(&str, Analyzer); 8] = [
+        ("observe/none", Analyzer::with_config(checks_off())),
+        ("observe/integrity", only(|c| c.check_integrity = true)),
+        ("observe/required", only(|c| c.check_required = true)),
+        ("observe/ordering", only(|c| c.check_ordering = true)),
+        ("observe/priority", only(|c| c.check_priority = true)),
+        ("observe/expiry", only(|c| c.check_expiry = true)),
+        ("observe/duplicates", only(|c| c.check_duplicates = true)),
+        ("observe/all", Analyzer::new()),
+    ];
+    for (name, analyzer) in &rows {
+        group.bench_function(*name, |b| {
+            b.iter_batched_ref(
+                || analyzer.streaming(),
+                |streaming| {
+                    for event in &events {
+                        streaming.observe(event);
+                    }
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.bench_function("finish/all", |b| {
+        b.iter_batched(
+            || {
+                let mut streaming = Analyzer::new().streaming();
+                for event in &events {
+                    streaming.observe(event);
+                }
+                streaming
+            },
+            |streaming| {
+                let report = streaming.finish();
+                assert!(report.passed(), "{report}");
+                report.receives
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("fanout_props/copy");
+    group.throughput(Throughput::Elements(1));
+    let receive = &events[events.len() / 2];
+    let record = receive.kind.message_record().expect("a receive");
+    group.bench_function("record_clone", |b| b.iter(|| record.clone()));
+    group.bench_function("event_clone", |b| b.iter(|| receive.clone()));
+    group.finish();
 }
 
 fn selector_engine(c: &mut Criterion) {
@@ -91,5 +265,11 @@ fn simulation_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, full_analysis, selector_engine, simulation_engine);
+criterion_group!(
+    benches,
+    full_analysis,
+    fanout_props,
+    selector_engine,
+    simulation_engine
+);
 criterion_main!(benches);

@@ -419,9 +419,13 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError`] on truncation or invalid UTF-8.
     pub fn str(&mut self) -> Result<String, CodecError> {
-        std::str::from_utf8(self.bytes()?)
-            .map(str::to_owned)
-            .map_err(|_| CodecError::Invalid("utf-8 string"))
+        self.borrowed_str().map(str::to_owned)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed from the input: a name
+    /// is copied once, straight into its shared buffer.
+    fn borrowed_str(&mut self) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| CodecError::Invalid("utf-8 string"))
     }
 
     /// A boolean byte (0 or 1).
@@ -510,7 +514,7 @@ impl<'a> Reader<'a> {
             },
             10 => EventKind::DeadLettered {
                 record: self.record()?,
-                parked_on: QueueName::new(self.str()?),
+                parked_on: QueueName::from(self.borrowed_str()?),
             },
             11 => EventKind::Unsubscribed {
                 endpoint: self.endpoint()?,
@@ -539,22 +543,22 @@ impl<'a> Reader<'a> {
 
     fn destination(&mut self) -> Result<Destination, CodecError> {
         Ok(if self.bool()? {
-            Destination::topic(self.str()?)
+            Destination::Topic(TopicName::from(self.borrowed_str()?))
         } else {
-            Destination::queue(self.str()?)
+            Destination::Queue(QueueName::from(self.borrowed_str()?))
         })
     }
 
     fn endpoint(&mut self) -> Result<EndpointId, CodecError> {
         Ok(match self.u8()? {
-            0 => EndpointId::Queue(QueueName::new(self.str()?)),
+            0 => EndpointId::Queue(QueueName::from(self.borrowed_str()?)),
             1 => EndpointId::DurableSubscription {
-                topic: TopicName::new(self.str()?),
-                client: ClientId::new(self.str()?),
-                name: self.str()?,
+                topic: TopicName::from(self.borrowed_str()?),
+                client: ClientId::from(self.borrowed_str()?),
+                name: self.borrowed_str()?.into(),
             },
             2 => EndpointId::NonDurableSubscription {
-                topic: TopicName::new(self.str()?),
+                topic: TopicName::from(self.borrowed_str()?),
                 consumer: ConsumerId::from_raw(self.uint()?),
             },
             _ => return Err(CodecError::Invalid("endpoint")),
