@@ -38,7 +38,17 @@
 //! no crypto crates are available). They are checked against published
 //! test vectors in this module's tests. A [`JournalKey`] absorbs the
 //! HMAC pad blocks once, so each record's MAC hashes only
-//! `mac_{i-1} || payload_i` plus one outer block.
+//! `mac_{i-1} || payload_i` plus one outer block: three SHA-256 blocks
+//! for a typical event record.
+//!
+//! SHA-256 has two compression kernels. On x86-64, when
+//! `is_x86_feature_detected!` finds the SHA extensions (with SSE2,
+//! SSSE3 and SSE4.1), blocks go through the `sha256rnds2` intrinsics;
+//! otherwise, and on every other architecture, through the portable
+//! kernel. The choice is made at run time and changes no output byte;
+//! the tests run both kernels on every host. CRC32 uses slicing-by-8:
+//! eight tables, built at compile time, fold eight bytes per step. The
+//! framed wire protocol uses the same [`crc32`].
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::event::Event;
@@ -62,7 +72,7 @@ const FRAME_HEADER_LEN: usize = 8; // len + crc
 // SHA-256 / HMAC-SHA256 / CRC32 (self-contained; offline build)
 // ---------------------------------------------------------------------
 
-const SHA256_K: [u32; 64] = [
+static SHA256_K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -73,6 +83,177 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Folds one 64-byte block into a SHA-256 hash state.
+type Compress = fn(&mut [u32; 8], &[u8; 64]);
+
+/// A SHA-256 compression kernel: folds one 64-byte block into the
+/// hash state. Every kernel computes the same function; they differ
+/// only in speed. [`sha256`] and [`JournalKey`] use the fastest kernel
+/// the CPU runs; the type is public so benchmarks can price the kernels
+/// side by side on one host.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Sha256Kernel {
+    name: &'static str,
+    compress: Compress,
+}
+
+impl Sha256Kernel {
+    /// The portable kernel: plain Rust, any architecture.
+    pub const PORTABLE: Self = Self {
+        name: "portable",
+        compress: compress_portable,
+    };
+
+    /// The x86-64 SHA extensions kernel, when this CPU has them.
+    pub fn sha_ni() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(compress) = sha_ni::kernel() {
+            return Some(Self {
+                name: "sha-ni",
+                compress,
+            });
+        }
+        None
+    }
+
+    /// The fastest kernel this CPU runs.
+    fn fastest() -> Self {
+        Self::sha_ni().unwrap_or(Self::PORTABLE)
+    }
+
+    /// A short name for reports: `"portable"` or `"sha-ni"`.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(SHA256_K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    let add = [a, b, c, d, e, f, g, h];
+    for (s, v) in state.iter_mut().zip(add) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// SHA-256 compression on the x86-64 SHA extensions (`sha256rnds2`
+/// does two rounds, `sha256msg1`/`sha256msg2` extend the message
+/// schedule four words at a time).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::{Compress, SHA256_K};
+    use std::arch::x86_64::*;
+
+    /// The kernel, or `None` when this CPU lacks any feature it needs.
+    pub(super) fn kernel() -> Option<Compress> {
+        let detected = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        detected.then_some(compress as Compress)
+    }
+
+    /// Private to this module: [`kernel`] is the only way to reach it,
+    /// and it hands it out only after detecting the features.
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        // SAFETY: `kernel` returns this function only when
+        // `is_x86_feature_detected!` found sha, sse2, ssse3 and sse4.1,
+        // the features `compress_block` is compiled for.
+        unsafe { compress_block(state, block) }
+    }
+
+    /// One block through the SHA extensions.
+    ///
+    /// # Safety
+    ///
+    /// Calling it is unsafe outside code compiled for these features:
+    /// the CPU must have sha, sse2, ssse3 and sse4.1.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte-swaps each 32-bit lane: the message words are big-endian.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let (s, p) = (state.as_ptr(), block.as_ptr());
+        // SAFETY: 16-byte unaligned loads at offsets 0 and 16 of `state`
+        // (32 bytes) and 0, 16, 32 and 48 of `block` (64 bytes).
+        let (dcba, hgfe, [mut w0, mut w1, mut w2, mut w3]) = unsafe {
+            (
+                _mm_loadu_si128(s.cast()),
+                _mm_loadu_si128(s.add(4).cast()),
+                [
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), be),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), be),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), be),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), be),
+                ],
+            )
+        };
+        // `sha256rnds2` wants the state as (a, b, e, f) and (c, d, g, h).
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // Four rounds a step; `w0..w3` hold message words W[4q..4q+16].
+        for quad in 0..16 {
+            // SAFETY: a 16-byte load at word `4 * quad` of the 64-word
+            // `SHA256_K`, and `4 * quad + 3 < 64`.
+            let k = unsafe { _mm_loadu_si128(SHA256_K.as_ptr().add(4 * quad).cast()) };
+            let wk = _mm_add_epi32(w0, k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            // W[4q+16..4q+20]; the last four steps compute words no
+            // round uses, which is cheaper than branching around them.
+            let s0 = _mm_sha256msg1_epu32(w0, w1);
+            let next = _mm_sha256msg2_epu32(_mm_add_epi32(s0, _mm_alignr_epi8(w3, w2, 4)), w3);
+            (w0, w1, w2, w3) = (w1, w2, w3, next);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        // SAFETY: two 16-byte stores within `state` (32 bytes).
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xf0));
+            _mm_storeu_si128(
+                state.as_mut_ptr().add(4).cast(),
+                _mm_alignr_epi8(dchg, feba, 8),
+            );
+        }
+    }
+}
+
 /// Incremental SHA-256 (FIPS 180-4).
 #[derive(Clone)]
 struct Sha256 {
@@ -80,10 +261,15 @@ struct Sha256 {
     buffer: [u8; 64],
     buffered: usize,
     length: u64,
+    kernel: Sha256Kernel,
 }
 
 impl Sha256 {
     fn new() -> Self {
+        Self::on(Sha256Kernel::fastest())
+    }
+
+    fn on(kernel: Sha256Kernel) -> Self {
         Self {
             state: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -92,6 +278,7 @@ impl Sha256 {
             buffer: [0u8; 64],
             buffered: 0,
             length: 0,
+            kernel,
         }
     }
 
@@ -103,61 +290,18 @@ impl Sha256 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                (self.kernel.compress)(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut buf = [0u8; 64];
-            buf.copy_from_slice(block);
-            self.compress(&buf);
-            data = rest;
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            (self.kernel.compress)(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
+        data = blocks.remainder();
         if !data.is_empty() {
             self.buffer[..data.len()].copy_from_slice(data);
             self.buffered = data.len();
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(SHA256_K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        let add = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(add) {
-            *s = s.wrapping_add(v);
         }
     }
 
@@ -200,15 +344,21 @@ struct HmacSha256 {
 
 impl HmacSha256 {
     fn new(key: &[u8]) -> Self {
+        Self::on(Sha256Kernel::fastest(), key)
+    }
+
+    fn on(kernel: Sha256Kernel, key: &[u8]) -> Self {
         let mut key_block = [0u8; 64];
         if key.len() > 64 {
-            key_block[..32].copy_from_slice(&sha256(key));
+            let mut hasher = Sha256::on(kernel);
+            hasher.update(key);
+            key_block[..32].copy_from_slice(&hasher.finish());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut inner = Sha256::new();
+        let mut inner = Sha256::on(kernel);
         inner.update(&key_block.map(|b| b ^ 0x36));
-        let mut outer = Sha256::new();
+        let mut outer = Sha256::on(kernel);
         outer.update(&key_block.map(|b| b ^ 0x5c));
         Self { inner, outer }
     }
@@ -229,27 +379,61 @@ pub fn hmac_sha256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
     HmacSha256::new(key).mac(parts)
 }
 
+/// CRC32 lookup tables for slicing-by-8: `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let previous = tables[k - 1][i];
+            tables[k][i] = (previous >> 8) ^ tables[0][(previous & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC32 (IEEE 802.3, reflected) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xedb8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xff) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     crc ^ 0xffff_ffff
 }
@@ -280,6 +464,21 @@ impl JournalKey {
     /// The chained MAC of one record.
     fn mac(&self, previous: &[u8; 32], payload: &[u8]) -> [u8; 32] {
         self.0.mac(&[previous, payload])
+    }
+
+    /// The chained MAC of one record, computed on `kernel`: equal to the
+    /// MAC the journal writes, at that kernel's speed. For benchmarks.
+    #[doc(hidden)]
+    pub fn record_mac_on(
+        &self,
+        kernel: Sha256Kernel,
+        previous: &[u8; 32],
+        payload: &[u8],
+    ) -> [u8; 32] {
+        let mut hmac = self.0.clone();
+        hmac.inner.kernel = kernel;
+        hmac.outer.kernel = kernel;
+        hmac.mac(&[previous, payload])
     }
 }
 
@@ -894,6 +1093,7 @@ fn hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sha256_matches_published_vectors() {
@@ -920,38 +1120,164 @@ mod tests {
         );
     }
 
+    /// Every kernel this host runs: the portable one, and SHA-NI where
+    /// detected. The differential tests run the portable kernel even on
+    /// a SHA-NI host, so the fallback stays covered.
+    fn kernels() -> Vec<Sha256Kernel> {
+        std::iter::once(Sha256Kernel::PORTABLE)
+            .chain(Sha256Kernel::sha_ni())
+            .collect()
+    }
+
+    fn sha256_on(kernel: Sha256Kernel, parts: &[&[u8]]) -> [u8; 32] {
+        let mut hasher = Sha256::on(kernel);
+        for part in parts {
+            hasher.update(part);
+        }
+        hasher.finish()
+    }
+
     #[test]
-    fn hmac_sha256_matches_rfc_4231() {
-        // RFC 4231 test case 1.
-        let key = [0x0bu8; 20];
-        let mac = hmac_sha256(&key, &[b"Hi There"]);
-        assert_eq!(
-            hex(&mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        // Test case 2 ("Jefe"), split across parts to check the
-        // multi-part path concatenates correctly.
-        let mac = hmac_sha256(b"Jefe", &[b"what do ya want ", b"for nothing?"]);
-        assert_eq!(
-            hex(&mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        // Test case 3: 131-byte key (hashed-key path).
-        let key = [0xaau8; 131];
-        let mac = hmac_sha256(
-            &key,
-            &[b"Test Using Larger Than Block-Size Key - Hash Key First".as_ref()],
-        );
-        assert_eq!(
-            hex(&mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn hmac_sha256_matches_rfc_4231_on_every_kernel() {
+        let key_4: Vec<u8> = (1..=25).collect();
+        // (key, message parts, MAC in hex)
+        type Case<'a> = (&'a [u8], &'a [&'a [u8]], &'a str);
+        let cases: [Case<'_>; 6] = [
+            // Test case 1.
+            (
+                &[0x0b; 20],
+                &[b"Hi There"],
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            // Test case 2 ("Jefe"), split across parts to check the
+            // multi-part path concatenates correctly.
+            (
+                b"Jefe",
+                &[b"what do ya want ", b"for nothing?"],
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            // Test case 3.
+            (
+                &[0xaa; 20],
+                &[&[0xdd; 50]],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            // Test case 4.
+            (
+                &key_4,
+                &[&[0xcd; 50]],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            // Test case 6: a 131-byte key (hashed-key path).
+            (
+                &[0xaa; 131],
+                &[b"Test Using Larger Than Block-Size Key - Hash Key First"],
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            // Test case 7: a hashed key and three blocks of data.
+            (
+                &[0xaa; 131],
+                &[
+                    b"This is a test using a larger than block-size key and a larger than \
+                    block-size data. The key needs to be hashed before being used by the \
+                    HMAC algorithm.",
+                ],
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (key, parts, expected) in cases {
+            assert_eq!(hex(&hmac_sha256(key, parts)), expected);
+            for kernel in kernels() {
+                let mac = HmacSha256::on(kernel, key).mac(parts);
+                assert_eq!(hex(&mac), expected, "kernel {}", kernel.name());
+            }
+        }
     }
 
     #[test]
     fn crc32_matches_the_check_value() {
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Byte-at-a-time CRC32, computing its table bit by bit: the
+    /// reference the slicing-by-8 tables must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn kernels_agree_at_every_length_across_the_padding_edges() {
+        // Lengths 55, 56 and 64 are where the padding spills into a
+        // second block or the message fills one exactly.
+        let data: Vec<u8> = (0..=300u32).map(|i| (i * 131 + 7) as u8).collect();
+        for len in 0..=data.len() {
+            let portable = sha256_on(Sha256Kernel::PORTABLE, &[&data[..len]]);
+            for kernel in kernels() {
+                assert_eq!(sha256_on(kernel, &[&data[..len]]), portable, "len {len}");
+            }
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sha256_kernels_agree(
+            data in prop::collection::vec(any::<u8>(), 0..301),
+            split in 0usize..301,
+        ) {
+            let (head, tail) = data.split_at(split.min(data.len()));
+            let portable = sha256_on(Sha256Kernel::PORTABLE, &[&data]);
+            for kernel in kernels() {
+                prop_assert_eq!(sha256_on(kernel, &[&data]), portable);
+                prop_assert_eq!(sha256_on(kernel, &[head, tail]), portable);
+            }
+            prop_assert_eq!(sha256(&data), portable);
+        }
+
+        #[test]
+        fn record_macs_agree_on_every_kernel(
+            payload in prop::collection::vec(any::<u8>(), 0..301),
+            seed in any::<u8>(),
+        ) {
+            let key = JournalKey::from_bytes([seed; 32]);
+            let previous = [seed.wrapping_mul(3); 32];
+            let expected = key.mac(&previous, &payload);
+            for kernel in kernels() {
+                prop_assert_eq!(key.record_mac_on(kernel, &previous, &payload), expected);
+            }
+            prop_assert_eq!(
+                expected,
+                hmac_sha256(&[seed; 32], &[&previous, &payload])
+            );
+        }
+
+        #[test]
+        fn slicing_by_8_crc32_matches_the_bytewise_reference(
+            data in prop::collection::vec(any::<u8>(), 0..301),
+            offset in 0usize..8,
+        ) {
+            // Unaligned sub-slices start the 8-byte steps anywhere.
+            let slice = &data[offset.min(data.len())..];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 
     fn record(i: usize) -> JournalRecord {

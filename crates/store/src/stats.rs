@@ -257,22 +257,26 @@ impl DelayHistogram {
 /// [`LogHistogram`]: 2^5 = 32, bounding relative quantile error at
 /// 1/32 ≈ 3.1%.
 const SUB_BUCKET_BITS: u32 = 5;
+/// Buckets per octave. Values below `SUB_BUCKETS` are stored exactly;
+/// a u64 of nanoseconds has at most 64 significant bits, so the
+/// remaining `64 - 5 = 59` octaves each get `SUB_BUCKETS` buckets, and
+/// bucket indices run below `60 * SUB_BUCKETS`.
 const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
-/// Octaves above the exact range. A u64 of nanoseconds has at most 64
-/// significant bits; values below `SUB_BUCKETS` are stored exactly, the
-/// remaining `64 - 5 = 59` octaves each get `SUB_BUCKETS` buckets.
-const OCTAVES: usize = 64 - SUB_BUCKET_BITS as usize;
-const LOG_BUCKETS: usize = SUB_BUCKETS as usize * (OCTAVES + 1);
 
 /// A log-bucketed (HDR-style) histogram of durations for open-loop load
-/// measurement: full `u64` nanosecond range, fixed memory, ≤ ~3.1%
-/// relative quantile error, and mergeable across worker threads.
+/// measurement: full `u64` nanosecond range, ≤ ~3.1% relative quantile
+/// error, and mergeable across worker threads.
 ///
 /// The fixed-width [`DelayHistogram`] needs its range chosen up front —
 /// fine for expiry models, useless for latency under overload where the
 /// tail spans six orders of magnitude. This histogram uses 32 linear
 /// sub-buckets per power-of-two octave, so bucket width scales with
 /// magnitude and p50 through p99.9 are all resolved to a few percent.
+///
+/// Memory follows the samples, not the range: only the octaves between
+/// the smallest and largest sample seen are stored (256 bytes each, at
+/// most 60 of them), so a histogram of latencies from 1 µs to 10 ms
+/// holds 15 octaves, and an empty one holds none.
 ///
 /// # Examples
 ///
@@ -289,7 +293,10 @@ const LOG_BUCKETS: usize = SUB_BUCKETS as usize * (OCTAVES + 1);
 /// ```
 #[derive(Clone)]
 pub struct LogHistogram {
-    buckets: Box<[u64; LOG_BUCKETS]>,
+    /// Counts of buckets `base .. base + counts.len()`, a whole number of
+    /// octaves; empty until the first sample.
+    counts: Vec<u64>,
+    base: usize,
     count: u64,
     min: u64,
     max: u64,
@@ -313,13 +320,11 @@ impl fmt::Debug for LogHistogram {
 
 impl LogHistogram {
     /// Creates an empty histogram covering the full `u64` nanosecond
-    /// range.
+    /// range. It allocates nothing until the first sample.
     pub fn new() -> Self {
         Self {
-            buckets: vec![0u64; LOG_BUCKETS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("bucket count is fixed"),
+            counts: Vec::new(),
+            base: 0,
             count: 0,
             min: u64::MAX,
             max: 0,
@@ -356,9 +361,31 @@ impl LogHistogram {
         self.record_nanos(sample.as_nanos() as u64);
     }
 
+    /// Widens the stored span to include buckets `lo..hi`, both octave
+    /// boundaries, adding zeroed octaves on either side.
+    #[cold]
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; hi - lo];
+            self.base = lo;
+            return;
+        }
+        let lo = lo.min(self.base);
+        let hi = hi.max(self.base + self.counts.len());
+        let mut counts = vec![0; hi - lo];
+        counts[self.base - lo..][..self.counts.len()].copy_from_slice(&self.counts);
+        self.counts = counts;
+        self.base = lo;
+    }
+
     /// Records one sample given directly in nanoseconds.
     pub fn record_nanos(&mut self, nanos: u64) {
-        self.buckets[Self::index_of(nanos)] += 1;
+        let index = Self::index_of(nanos);
+        if index.wrapping_sub(self.base) >= self.counts.len() {
+            let octave = index - index % SUB_BUCKETS as usize;
+            self.cover(octave, octave + SUB_BUCKETS as usize);
+        }
+        self.counts[index - self.base] += 1;
         self.count += 1;
         self.min = self.min.min(nanos);
         self.max = self.max.max(nanos);
@@ -390,10 +417,11 @@ impl LogHistogram {
         let q = q.clamp(0.0, 1.0);
         let target = (q * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (index, &bucket) in self.buckets.iter().enumerate() {
+        for (slot, &bucket) in self.counts.iter().enumerate() {
             seen += bucket;
             if seen >= target {
-                return Some(Duration::from_nanos(Self::upper_edge(index).min(self.max)));
+                let edge = Self::upper_edge(self.base + slot);
+                return Some(Duration::from_nanos(edge.min(self.max)));
             }
         }
         Some(Duration::from_nanos(self.max))
@@ -405,7 +433,12 @@ impl LogHistogram {
         if other.count == 0 {
             return;
         }
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        let other_end = other.base + other.counts.len();
+        if other.base < self.base || other_end > self.base + self.counts.len() {
+            self.cover(other.base, other_end);
+        }
+        let mine = &mut self.counts[other.base - self.base..];
+        for (mine, theirs) in mine.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
         self.count += other.count;
@@ -668,6 +701,38 @@ mod tests {
         let summary = hist.percentile_summary();
         assert!(summary.contains("p99"), "{summary}");
         assert!(summary.contains("max=5.00ms"), "{summary}");
+    }
+
+    #[test]
+    fn log_histogram_stores_only_the_octaves_it_has_seen() {
+        let octave = SUB_BUCKETS as usize;
+        let mut hist = LogHistogram::new();
+        assert!(hist.counts.is_empty());
+        hist.record(Duration::from_micros(3));
+        assert_eq!(hist.counts.len(), octave);
+        // 3 µs to 10 ms: twelve more octaves, grown upward.
+        hist.record(Duration::from_millis(10));
+        assert_eq!(hist.counts.len(), 13 * octave);
+        // Grown downward, the stored counts keep their buckets.
+        hist.record_nanos(40);
+        assert_eq!(hist.counts.len(), 19 * octave);
+        assert_eq!(hist.quantile(0.0).unwrap(), Duration::from_nanos(40));
+        assert_eq!(hist.quantile(1.0).unwrap(), Duration::from_millis(10));
+        let p50 = hist.quantile(0.5).unwrap().as_nanos() as f64;
+        assert!((p50 / 3_000.0 - 1.0).abs() <= 1.0 / 31.0, "p50 {p50}");
+        // The full range is 60 octaves.
+        hist.record_nanos(0);
+        hist.record_nanos(u64::MAX);
+        assert_eq!(hist.counts.len(), 60 * octave);
+        // A merge widens the receiver only to the union of both spans.
+        let mut low = LogHistogram::new();
+        low.record_nanos(5);
+        let mut high = LogHistogram::new();
+        high.record(Duration::from_secs(1));
+        low.merge(&high);
+        assert_eq!(low.counts.len(), 26 * octave);
+        assert_eq!(low.quantile(0.5).unwrap(), Duration::from_nanos(5));
+        assert_eq!(low.quantile(1.0).unwrap(), Duration::from_secs(1));
     }
 
     #[test]
