@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the analysis pipeline: full property
 //! checking over traces of increasing size, the checker layer on topic
-//! fan-out traffic that carries user properties, and the selector engine
+//! fan-out traffic that carries user properties, canonical ordering
+//! (the batch sort and the live reorder buffer), and the selector engine
 //! in isolation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -16,6 +17,7 @@ use jmst_core::{AnalysisConfig, Analyzer};
 use jmst_harness::model::{PubSubScenario, PublisherSpec};
 use jmst_sim::ServiceModel;
 use jmst_store::event::{Event, EventKind, MessageRecord, Phase};
+use jmst_store::{ReorderBuffer, Trace};
 use std::time::Duration;
 
 fn trace_of(messages_per_sec: f64, seconds: u64) -> jmst_store::Trace {
@@ -218,6 +220,111 @@ fn fanout_props(c: &mut Criterion) {
     group.finish();
 }
 
+/// A replay-shaped log of `messages` queue messages: each send is logged
+/// with its receive 3 ms later right behind it, as a recorder that logs
+/// a message's receive after its send writes them. Sends are 20 µs
+/// apart, so canonical order moves every receive 150 places on.
+fn replay_shaped_log(messages: u64) -> Vec<Event> {
+    let endpoint = EndpointId::for_queue("q".into());
+    let mut events = Vec::with_capacity(2 * messages as usize);
+    for i in 0..messages {
+        let sent_at = Timestamp::from_micros(1_000 + i * 20);
+        let record = MessageRecord {
+            message: MessageId::from_raw(i + 1),
+            producer: ProducerId::from_raw(i % 4),
+            sequence: i / 4,
+            destination: Destination::queue("q"),
+            priority: Default::default(),
+            delivery_mode: Default::default(),
+            time_to_live: jmst_api::modes::TimeToLive::FOREVER,
+            sent_at,
+            body_bytes: 256,
+            redelivered: false,
+            delivery_count: 1,
+            properties: Default::default(),
+        };
+        let seq = events.len() as u64;
+        events.push(Event {
+            seq,
+            at: sent_at,
+            node: NodeId::from_raw(1),
+            kind: EventKind::Send {
+                record: record.clone(),
+                session: SessionId::from_raw(i % 4),
+                tx: None,
+            },
+        });
+        events.push(Event {
+            seq: seq + 1,
+            at: Timestamp::from_micros(1_000 + i * 20 + 3_000),
+            node: NodeId::from_raw(2),
+            kind: EventKind::Receive {
+                consumer: ConsumerId::from_raw(7),
+                endpoint: endpoint.clone(),
+                record,
+                session: SessionId::from_raw(7),
+                tx: None,
+            },
+        });
+    }
+    events
+}
+
+/// Reorder depth of the live stream (the daemon prince's).
+const REORDER_DEPTH: usize = 8_192;
+
+/// Canonical order, batch and live, on 16K replay-shaped events:
+/// `Trace::from_events` on the log as written and on a log already in
+/// canonical order (a live watcher's), and the `ReorderBuffer` at the
+/// prince's depth on an in-order stream and on a skewed one in which
+/// every 4th event arrives 1,000 places late. Each routine keeps its
+/// output, so dropping the events is not timed.
+fn canonical_order(c: &mut Criterion) {
+    let log = replay_shaped_log(8_192);
+    let sorted = Trace::from_events(log.clone()).into_events();
+    let mut skewed: Vec<(usize, Event)> = sorted
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, event)| (if i % 4 == 3 { i + 1_000 } else { i }, event))
+        .collect();
+    skewed.sort_by_key(|&(slot, _)| slot);
+    let skewed: Vec<Event> = skewed.into_iter().map(|(_, event)| event).collect();
+    let count = log.len() as u64;
+
+    let mut group = c.benchmark_group(format!("canonical_order/{count}_events"));
+    group.sample_size(30);
+    group.throughput(Throughput::Elements(count));
+    for (name, input) in [
+        ("from_events/replay", &log),
+        ("from_events/sorted", &sorted),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched_ref(
+                || (input.clone(), Trace::new()),
+                |(events, trace)| *trace = Trace::from_events(std::mem::take(events)),
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    for (name, input) in [("reorder/in_order", &sorted), ("reorder/skewed", &skewed)] {
+        group.bench_function(name, |b| {
+            b.iter_batched_ref(
+                || (input.clone(), Vec::with_capacity(input.len())),
+                |(events, released)| {
+                    let mut buffer = ReorderBuffer::new(REORDER_DEPTH);
+                    for event in std::mem::take(events) {
+                        released.extend(buffer.push(event));
+                    }
+                    released.extend(std::iter::from_fn(|| buffer.pop()));
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 fn selector_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("selector");
     group.throughput(Throughput::Elements(1));
@@ -269,6 +376,7 @@ criterion_group!(
     benches,
     full_analysis,
     fanout_props,
+    canonical_order,
     selector_engine,
     simulation_engine
 );

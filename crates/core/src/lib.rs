@@ -44,6 +44,7 @@
 pub mod analyzer;
 pub mod config;
 pub mod defs;
+mod id_hash;
 pub mod perf;
 pub mod properties;
 pub mod replay;

@@ -24,6 +24,7 @@
 //! legitimacy.
 
 use super::PropertyChecker;
+use crate::id_hash::IdMap;
 use crate::stream::TxResolver;
 use crate::violation::Violation;
 use jmst_api::destination::EndpointId;
@@ -31,7 +32,7 @@ use jmst_api::id::{ConsumerId, MessageId, SessionId};
 use jmst_api::modes::SessionMode;
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::mem;
 
 /// One observed delivery of a message at an end-point.
@@ -62,11 +63,11 @@ type TallyKey = (MessageId, EndpointId);
 #[derive(Debug, Default)]
 pub struct DuplicatesChecker {
     resolver: TxResolver,
-    consumer_modes: HashMap<ConsumerId, SessionMode>,
+    consumer_modes: IdMap<ConsumerId, SessionMode>,
     tallies: BTreeMap<TallyKey, Tally>,
     /// Deliveries awaiting their session's next ack, as (tally key,
     /// index into `Tally::seen`).
-    waitlist: HashMap<SessionId, Vec<(TallyKey, usize)>>,
+    waitlist: IdMap<SessionId, Vec<(TallyKey, usize)>>,
     preview: usize,
 }
 

@@ -27,6 +27,7 @@
 use super::PropertyChecker;
 use crate::config::{AnalysisConfig, ExpiryConfig, ExpiryModel};
 use crate::defs;
+use crate::id_hash::{IdMap, IdSet};
 use crate::stream::{SelectorState, SelectorTracker, TxResolver};
 use crate::violation::Violation;
 use jmst_api::destination::{Destination, EndpointId};
@@ -37,7 +38,7 @@ use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind, MessageRecord};
 use jmst_store::stats::{DelayHistogram, SummaryStats};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::mem;
 use std::time::Duration;
 
@@ -106,9 +107,9 @@ struct QueueExpiry {
     /// time-to-live → (relevant sends, of which delivered).
     counts: BTreeMap<TimeToLive, (u64, u64)>,
     /// Relevant sends not yet seen delivered.
-    pending: HashMap<MessageId, TimeToLive>,
+    pending: IdMap<MessageId, TimeToLive>,
     /// Deliveries seen before (or without) their send.
-    early: HashSet<MessageId>,
+    early: IdSet<MessageId>,
 }
 
 /// Per-subscription expiry state. The activity window (first consumer
@@ -120,7 +121,7 @@ struct SubExpiry {
     tracker: SelectorTracker,
     opened_at: Option<Timestamp>,
     last_close: Option<Timestamp>,
-    delivered: HashSet<MessageId>,
+    delivered: IdSet<MessageId>,
 }
 
 /// Incremental expired-messages check: fits the delay expectation model

@@ -5,12 +5,12 @@
 //! Implemented as the incremental [`IntegrityChecker`].
 
 use super::PropertyChecker;
+use crate::id_hash::IdSet;
 use crate::stream::TxResolver;
 use crate::violation::Violation;
 use jmst_api::destination::EndpointId;
 use jmst_api::id::{ConsumerId, MessageId};
 use jmst_store::event::{Event, EventKind};
-use std::collections::HashSet;
 use std::mem;
 
 /// Incremental delivery-integrity checker.
@@ -25,7 +25,7 @@ use std::mem;
 #[derive(Debug, Default)]
 pub struct IntegrityChecker {
     resolver: TxResolver,
-    sent: HashSet<MessageId>,
+    sent: IdSet<MessageId>,
     pending: Vec<(MessageId, ConsumerId, EndpointId)>,
 }
 

@@ -8,12 +8,12 @@
 //! [`OrderingChecker`].
 
 use super::PropertyChecker;
+use crate::id_hash::{IdMap, IdSet};
 use crate::stream::TxResolver;
 use crate::violation::Violation;
 use jmst_api::id::{ConsumerId, MessageId, ProducerId};
 use jmst_api::modes::{DeliveryMode, Priority};
 use jmst_store::event::{Event, EventKind};
-use std::collections::{HashMap, HashSet};
 use std::mem;
 
 #[derive(Debug, PartialEq, Eq, Hash, Clone)]
@@ -41,12 +41,12 @@ struct OvertakeKey {
 pub struct OrderingChecker {
     resolver: TxResolver,
     /// Highest sequence seen so far per (consumer, producer, priority, mode).
-    last_seen: HashMap<OrderKey, u64>,
+    last_seen: IdMap<OrderKey, u64>,
     /// Highest *persistent* sequence seen per (consumer, producer,
     /// priority), for the overtaking rule (stored as seq+1 so 0 is "none").
-    last_persistent: HashMap<OvertakeKey, u64>,
+    last_persistent: IdMap<OvertakeKey, u64>,
     /// Message ids already delivered to a consumer.
-    seen_ids: HashSet<(ConsumerId, MessageId)>,
+    seen_ids: IdSet<(ConsumerId, MessageId)>,
     violations: Vec<Violation>,
 }
 

@@ -13,6 +13,7 @@
 
 use super::PropertyChecker;
 use crate::defs;
+use crate::id_hash::{IdMap, IdSet};
 use crate::stream::{SelectorState, SelectorTracker, TxResolver};
 use crate::violation::Violation;
 use jmst_api::destination::{Destination, EndpointId};
@@ -20,7 +21,7 @@ use jmst_api::id::{MessageId, ProducerId};
 use jmst_api::selector::Selector;
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind, MessageRecord};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::mem;
 
 /// Scalar fold of Definition 5's "received before the last close"
@@ -75,10 +76,10 @@ struct QueueRequired {
     /// relevant send.
     pending: BTreeMap<(ProducerId, u64), MessageRecord>,
     /// Receives seen before (or without) their send.
-    early: HashSet<(ProducerId, u64)>,
+    early: IdSet<(ProducerId, u64)>,
     /// Minimum relevant sequence per producer (Definition 6 *first*).
-    first_sent: HashMap<ProducerId, u64>,
-    timely: HashMap<ProducerId, TimelyFold>,
+    first_sent: IdMap<ProducerId, u64>,
+    timely: IdMap<ProducerId, TimelyFold>,
     last_close: Option<Timestamp>,
 }
 
@@ -86,11 +87,11 @@ struct QueueRequired {
 #[derive(Debug, Default)]
 struct SubRequired {
     tracker: SelectorTracker,
-    received: HashSet<MessageId>,
+    received: IdSet<MessageId>,
     /// Minimum received sequence per producer (Definition 6 *first* for
     /// subscriptions: the first message of the producer a subscriber saw).
-    first_received: HashMap<ProducerId, u64>,
-    timely: HashMap<ProducerId, TimelyFold>,
+    first_received: IdMap<ProducerId, u64>,
+    timely: IdMap<ProducerId, TimelyFold>,
     last_close: Option<Timestamp>,
 }
 
@@ -133,7 +134,7 @@ pub struct RequiredChecker {
     /// Effective sends to topic destinations, replayed per subscription
     /// end-point in `finish`.
     topic_sends: Vec<MessageRecord>,
-    dead_lettered: HashSet<MessageId>,
+    dead_lettered: IdSet<MessageId>,
 }
 
 impl RequiredChecker {

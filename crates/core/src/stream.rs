@@ -14,10 +14,11 @@
 //! * [`SelectorTracker`] — the effective selector of an end-point as its
 //!   consumer rows stream in.
 
+use crate::id_hash::IdMap;
 use jmst_api::id::TxId;
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind, Phase};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// What a [`TxResolver`] emits for one observed raw event.
 #[derive(Debug)]
@@ -62,7 +63,7 @@ impl Resolved<'_> {
 /// transactions.
 #[derive(Debug, Default)]
 pub struct TxResolver {
-    pending: HashMap<TxId, Vec<Event>>,
+    pending: IdMap<TxId, Vec<Event>>,
 }
 
 impl TxResolver {

@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 
 /// How far out of canonical `(at, seq)` order the live stream may run
 /// before the analysis sees events out of order (clock skew plus thread
-/// scheduling displace logging by far less than this in practice).
-const STREAM_REORDER_DEPTH: usize = 8192;
+/// scheduling displace logging by far less than this in practice). An
+/// event displaced further is announced on stderr as late.
+pub const STREAM_REORDER_DEPTH: usize = 8192;
 
 /// Bound on the live channel: recording applies backpressure when the
 /// analysis thread falls this many events behind.
@@ -307,7 +308,7 @@ impl DaemonPrince {
             );
         }
         let (provider, admin) = factory(spec);
-        let (sink, stream) = jmst_store::sink::channel(STREAM_REORDER_DEPTH, STREAM_CAPACITY);
+        let (sink, mut stream) = jmst_store::sink::channel(STREAM_REORDER_DEPTH, STREAM_CAPACITY);
         let cancel = Arc::new(AtomicBool::new(false));
         let analyzer = analyzer_for(&self.analyzer, spec);
         let watcher = {
@@ -316,12 +317,19 @@ impl DaemonPrince {
             let fail_fast = spec.fail_fast;
             let name = spec.name.clone();
             std::thread::spawn(move || {
-                watch(stream, &analyzer, |live| {
+                let watched = watch(stream.by_ref(), &analyzer, |live| {
                     eprintln!("[jmst-prince] {name}: {live} violation(s) live");
                     if fail_fast {
                         cancel.store(true, Ordering::SeqCst);
                     }
-                })
+                });
+                let late = stream.late_events();
+                if late > 0 {
+                    eprintln!(
+                        "[jmst-prince] {name}: {late} event(s) arrived after their slot was released"
+                    );
+                }
+                watched
             })
         };
         // The sink is the recorder's only destination: the watcher's

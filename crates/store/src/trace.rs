@@ -56,8 +56,12 @@ impl Trace {
     /// deterministically rather than an arbitrary one. Such collisions
     /// indicate a malformed trace; use [`Trace::try_from_events`] to reject
     /// them instead of tolerating them.
+    ///
+    /// Input already in canonical order (a live watcher's stream) is
+    /// kept as it is. Otherwise the keys are sorted, not the events, and
+    /// each event is then moved into its slot once, in place.
     pub fn from_events(mut events: Vec<Event>) -> Self {
-        events.sort_by_key(Event::ord_key);
+        sort_canonical(&mut events);
         Self { events }
     }
 
@@ -175,7 +179,42 @@ impl FromIterator<Event> for Trace {
 impl Extend<Event> for Trace {
     fn extend<I: IntoIterator<Item = Event>>(&mut self, iter: I) {
         self.events.extend(iter);
-        self.events.sort_by_key(Event::ord_key);
+        sort_canonical(&mut self.events);
+    }
+}
+
+/// Sorts `events` stably by [`Event::ord_key`], moving each event once.
+///
+/// An event is some 200 bytes, and a stable sort of the events would
+/// shift each of them about `log n` times and allocate scratch space
+/// for half of them. This sorts `(key, input position)` pairs instead:
+/// the position breaks key ties, so the order is exactly the stable
+/// one. The events then follow their cycles of that permutation in
+/// place, one swap per event that moves. Input already in canonical
+/// order returns after one scan.
+fn sort_canonical(events: &mut [Event]) {
+    if events.is_sorted_by_key(Event::ord_key) {
+        return;
+    }
+    // `slots[i].1` is the input position of the event that belongs at `i`.
+    let mut slots: Vec<((Timestamp, u64), usize)> = events
+        .iter()
+        .enumerate()
+        .map(|(position, event)| (event.ord_key(), position))
+        .collect();
+    slots.sort_unstable();
+    for start in 0..events.len() {
+        // Walk the cycle through `start`, filling one slot per step; a
+        // filled slot points at itself, so later walks stop there.
+        let mut slot = start;
+        loop {
+            let source = std::mem::replace(&mut slots[slot].1, slot);
+            if source == start {
+                break;
+            }
+            events.swap(slot, source);
+            slot = source;
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property-based tests of the trace store: canonical ordering, merge
-//! semantics, CSV export, and statistics invariants.
+//! semantics, the live reorder buffer, CSV export, and statistics
+//! invariants.
 
 use jmst_api::destination::{Destination, EndpointId};
 use jmst_api::id::{ConsumerId, MessageId, NodeId, ProducerId, SessionId, TxId};
@@ -8,7 +9,10 @@ use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind, MessageRecord};
 use jmst_store::stats::SummaryStats;
 use jmst_store::trace::Trace;
+use jmst_store::ReorderBuffer;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn record(message: u64, producer: u64, sequence: u64) -> MessageRecord {
     MessageRecord {
@@ -67,6 +71,107 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
             })
             .collect()
     })
+}
+
+/// Events whose `(at, seq)` keys come from a small space, so many share
+/// a key; each event's node is its input position, so two events with
+/// one key are still told apart.
+fn arb_colliding_events() -> impl Strategy<Value = Vec<Event>> {
+    prop::collection::vec((0u64..6, 0u64..6), 0..200).prop_map(|keys| {
+        keys.into_iter()
+            .enumerate()
+            .map(|(position, (at, seq))| Event {
+                seq,
+                at: Timestamp::from_millis(at),
+                node: NodeId::from_raw(position as u64),
+                kind: EventKind::BrokerCrashed,
+            })
+            .collect()
+    })
+}
+
+/// The canonical order by definition: a stable sort on the key.
+fn reference_sort(mut events: Vec<Event>) -> Vec<Event> {
+    events.sort_by_key(Event::ord_key);
+    events
+}
+
+/// The reorder buffer as one binary heap of every held event: the
+/// design [`ReorderBuffer`] replaced, kept as its reference.
+struct HeapBuffer {
+    depth: usize,
+    heap: BinaryHeap<Reverse<Keyed>>,
+}
+
+struct Keyed(Event);
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.ord_key() == other.0.ord_key()
+    }
+}
+
+impl Eq for Keyed {}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.ord_key().cmp(&other.0.ord_key())
+    }
+}
+
+impl HeapBuffer {
+    fn push(&mut self, event: Event) -> Option<Event> {
+        self.heap.push(Reverse(Keyed(event)));
+        if self.heap.len() > self.depth.max(1) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.heap.pop().map(|Reverse(Keyed(event))| event)
+    }
+}
+
+/// A stream in logging order: events in key order, each logged up to
+/// its own displacement later, with some logged twice in a row (equal
+/// keys). The copies are exact, so any release order of equal keys
+/// gives the same events.
+fn arb_displaced_stream() -> impl Strategy<Value = (usize, Vec<Event>)> {
+    (
+        1usize..24,
+        0usize..60,
+        prop::collection::vec((0usize..1_000, 0u8..10), 0..300),
+    )
+        .prop_map(|(depth, max_displacement, rows)| {
+            let mut logged: Vec<(usize, usize, Event)> = Vec::new();
+            for (index, (draw, copies)) in rows.into_iter().enumerate() {
+                let displacement = draw % (max_displacement + 1);
+                let event = Event {
+                    seq: index as u64,
+                    // Pairs of events share a timestamp: `seq` orders them.
+                    at: Timestamp::from_millis(index as u64 / 2),
+                    node: NodeId::from_raw(0),
+                    kind: EventKind::BrokerCrashed,
+                };
+                if copies == 0 {
+                    logged.push((index + displacement, index, event.clone()));
+                }
+                logged.push((index + displacement, index, event));
+            }
+            logged.sort_by_key(|&(slot, index, _)| (slot, index));
+            (
+                depth,
+                logged.into_iter().map(|(_, _, event)| event).collect(),
+            )
+        })
 }
 
 proptest! {
@@ -151,6 +256,68 @@ proptest! {
         for &q in &[0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
             prop_assert_eq!(merged.quantile(q), single.quantile(q), "q = {}", q);
         }
+    }
+
+    #[test]
+    fn from_events_equals_a_stable_key_sort(events in arb_colliding_events()) {
+        let expected = reference_sort(events.clone());
+        prop_assert_eq!(Trace::from_events(events.clone()).into_events(), expected.clone());
+        // Sorted input comes back as it is.
+        prop_assert_eq!(Trace::from_events(expected.clone()).into_events(), expected);
+        // Reversed input: equal keys keep their (reversed) input order.
+        let mut reversed = events;
+        reversed.reverse();
+        prop_assert_eq!(
+            Trace::from_events(reversed.clone()).into_events(),
+            reference_sort(reversed)
+        );
+    }
+
+    #[test]
+    fn extend_and_merge_equal_a_stable_key_sort(
+        events in arb_colliding_events(),
+        split in any::<prop::sample::Index>(),
+    ) {
+        let cut = if events.is_empty() { 0 } else { split.index(events.len()) };
+        let (left, right) = events.split_at(cut);
+        let mut concatenated = reference_sort(left.to_vec());
+        concatenated.extend_from_slice(right);
+        let mut extended = Trace::from_events(left.to_vec());
+        extended.extend(right.to_vec());
+        prop_assert_eq!(extended.into_events(), reference_sort(concatenated));
+
+        let mut both = reference_sort(left.to_vec());
+        both.extend(reference_sort(right.to_vec()));
+        let merged = Trace::merge([
+            Trace::from_events(left.to_vec()),
+            Trace::from_events(right.to_vec()),
+        ]);
+        prop_assert_eq!(merged.into_events(), reference_sort(both));
+    }
+
+    #[test]
+    fn reorder_buffer_releases_what_one_heap_releases(
+        case in arb_displaced_stream(),
+    ) {
+        let (depth, stream) = case;
+        let mut buffer = ReorderBuffer::new(depth);
+        let mut reference = HeapBuffer { depth, heap: BinaryHeap::new() };
+        let (mut released, mut expected) = (Vec::new(), Vec::new());
+        let mut expected_late = 0;
+        for event in stream {
+            // Late: below a key the reference already released.
+            if expected.iter().any(|e: &Event| event.ord_key() < e.ord_key()) {
+                expected_late += 1;
+            }
+            released.extend(buffer.push(event.clone()));
+            expected.extend(reference.push(event));
+            prop_assert_eq!(buffer.len(), reference.heap.len());
+        }
+        released.extend(std::iter::from_fn(|| buffer.pop()));
+        expected.extend(std::iter::from_fn(|| reference.pop()));
+        prop_assert!(buffer.is_empty());
+        prop_assert_eq!(released, expected);
+        prop_assert_eq!(buffer.late_events(), expected_late);
     }
 
     #[test]

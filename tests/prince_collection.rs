@@ -109,3 +109,37 @@ fn hung_run_returns_every_event_once() {
     assert!(result.outcome.report().expect("analysed").sends > 0);
     assert_one_complete_copy(&result, &events);
 }
+
+#[test]
+fn live_stream_stays_within_the_reorder_depth() {
+    // The prince's wiring: the recorder's only sink is a channel whose
+    // stream reorders at the prince's depth. No event may arrive after
+    // its canonical slot was released.
+    let spec = queue_spec(
+        "in-depth",
+        2_000.0,
+        Duration::from_millis(200),
+        Duration::ZERO,
+    );
+    let (sink, mut stream) =
+        jmst::store::sink::channel(jmst::harness::prince::STREAM_REORDER_DEPTH, 16_384);
+    let watcher = std::thread::spawn(move || {
+        let events = stream.by_ref().count();
+        (events, stream.late_events())
+    });
+    ThreadedRunner::new()
+        .run_observed(
+            Arc::new(ReferenceBroker::new()),
+            None,
+            &spec,
+            Some(Box::new(sink)),
+            None,
+        )
+        .expect("the run completes");
+    let (events, late) = watcher.join().expect("the watcher finishes");
+    assert!(events > 0, "no events streamed");
+    assert_eq!(
+        late, 0,
+        "{late} event(s) arrived after their slot was released"
+    );
+}
