@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the open-loop load engine: cost per
-//! arrival through the timing wheel alone, through the full engine with a
-//! no-op transport, the cost of arming and tearing down 1M clients, and
-//! per latency sample into the log histogram.
+//! arrival through the timing wheel alone, in a short burst and in the
+//! steady state of 1K and 1M re-arming clients, through the full engine
+//! with a no-op transport, the cost of arming and tearing down 1M
+//! clients, and per latency sample into the log histogram.
 //!
 //! The engine numbers are the per-arrival scheduling overhead budget: at
 //! 100K virtual clients offering 40K msg/s, every microsecond of
@@ -51,6 +52,88 @@ fn wheel_schedule_advance(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// The steady state of the open-loop generator's timers at 20K fires/s:
+/// `clients` entries bulk-loaded with exponential first deadlines, then
+/// fired and each re-armed one exponential gap after its deadline, while
+/// time moves in exponential 50 µs steps. At 1M clients (mean gap 50 s)
+/// most entries wait beyond the 4.1 s horizon, as in perfbench's
+/// queue-1m; at 1K (mean gap 50 ms) every one is inside it. One
+/// iteration is `FIRES` fires, so ns per fire = time / `FIRES`.
+fn wheel_rearm(c: &mut Criterion) {
+    const FIRES: u64 = 200_000;
+    const STEP_NANOS: f64 = 50_000.0;
+    let mut group = c.benchmark_group("loadgen/wheel");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(FIRES));
+    for (name, clients, mean_gap_nanos) in
+        [("rearm_1k", 1_000u32, 5e7), ("rearm_1m", 1_000_000, 5e10)]
+    {
+        group.bench_function(name, |b| {
+            // The wheel is dropped outside the timed routine.
+            b.iter_batched_ref(
+                || {
+                    let mut rng = SimRng::seed_from_u64(u64::from(clients));
+                    let mut wheel = TimingWheel::new(Duration::from_millis(1), 4096);
+                    wheel.bulk_load(
+                        (0..clients)
+                            .map(|client| (rng.exponential(mean_gap_nanos) as u64, client))
+                            .collect(),
+                    );
+                    (wheel, rng)
+                },
+                |(wheel, rng)| {
+                    let (mut now, mut fired) = (0u64, 0u64);
+                    let mut due = Vec::new();
+                    while fired < FIRES {
+                        now += rng.exponential(STEP_NANOS) as u64;
+                        wheel.advance(now, &mut due);
+                        fired += due.len() as u64;
+                        for (deadline, client) in due.drain(..) {
+                            wheel.schedule(
+                                deadline + rng.exponential(mean_gap_nanos) as u64,
+                                client,
+                            );
+                        }
+                    }
+                    wheel.len()
+                },
+                BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+}
+
+/// Arming a 1M-client population into one wheel: deadlines exponential
+/// with a mean of 50 s, handed over in payload order as the executor
+/// hands them.
+fn wheel_bulk_load(c: &mut Criterion) {
+    const CLIENTS: u32 = 1_000_000;
+    let mut group = c.benchmark_group("loadgen/wheel");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(u64::from(CLIENTS)));
+    group.bench_function("bulk_load_1m", |b| {
+        b.iter_batched_ref(
+            || {
+                let mut rng = SimRng::seed_from_u64(1);
+                let entries: Vec<(u64, u32)> = (0..CLIENTS)
+                    .map(|client| (rng.exponential(5e10) as u64, client))
+                    .collect();
+                (
+                    TimingWheel::new(Duration::from_millis(1), 4096),
+                    Some(entries),
+                )
+            },
+            |(wheel, entries)| {
+                wheel.bulk_load(entries.take().expect("one load per wheel"));
+                wheel.len()
+            },
+            BatchSize::PerIteration,
+        );
+    });
     group.finish();
 }
 
@@ -139,6 +222,8 @@ fn histogram_record(c: &mut Criterion) {
 criterion_group!(
     benches,
     wheel_schedule_advance,
+    wheel_rearm,
+    wheel_bulk_load,
     engine_arrivals,
     engine_arm,
     histogram_record

@@ -24,10 +24,11 @@
 //! A task starts in one of two ways. [`Reactor::spawn`]/[`Reactor::spawn_on`]
 //! give it an initial poll, where it can register wakers or arm its own
 //! first timer. [`Reactor::spawn_at`] arms its first timer at spawn and
-//! skips that poll: each worker bulk-loads those deadlines into its wheel
-//! on its own thread, and only once every wheel is built is the shared
-//! epoch taken. A million pre-armed virtual clients therefore cost one
-//! sort per worker before the clock starts, not a million polls after.
+//! skips that poll: each worker schedules those deadlines into its wheel
+//! on its own thread, in spawn order, and only once every wheel is built
+//! is the shared epoch taken. A million pre-armed virtual clients
+//! therefore cost a million O(1) wheel inserts before the clock starts,
+//! not a million polls after.
 //!
 //! A timed park on real time may wake up to the kernel's timer slack
 //! after its deadline (50 µs by default on Linux). A reactor built
@@ -455,18 +456,20 @@ fn worker_loop(worker: usize, seed: WorkerSeed, run: WorkerRun) -> WorkerDone {
     }
 
     // Shutdown: sweep live tasks with `stopping = true` until each has
-    // finished (they are contract-bound to do so in bounded polls).
+    // finished (they are contract-bound to do so in bounded polls). One
+    // clock read per sweep, not per task.
     let mut sweeps = 0u32;
     while live > 0 && sweeps < MAX_DRAIN_SWEEPS {
         sweeps += 1;
         let mut progressed = false;
+        let now = elapsed();
         for (index, slot) in slots_vec.iter_mut().enumerate() {
             let Some(task) = slot.as_mut() else {
                 continue;
             };
             polls += 1;
             let mut cx = Context {
-                now: elapsed(),
+                now,
                 stopping: true,
                 timers: &mut timers,
                 ready: &ready,

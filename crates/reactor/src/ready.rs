@@ -12,6 +12,10 @@
 //! task that is already `Scheduled` is a no-op; a wake that lands while
 //! the task is `Running` flags it `Notified` so the executor reschedules
 //! it after the poll instead of losing the event.
+//!
+//! A wake signals the worker's condvar only when the worker is parked on
+//! it: a signal costs a `futex_wake` system call even with no waiter,
+//! and an awake worker finds the task on its next pop anyway.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -51,8 +55,15 @@ impl TaskState {
 /// ready task indices, shared with every [`Waker`] handed out.
 pub struct ReadyList {
     states: Vec<AtomicU8>,
-    queue: Mutex<VecDeque<u32>>,
+    queue: Mutex<Queue>,
     signal: Condvar,
+}
+
+/// The ready task indices, and whether the worker waits on `signal`.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<u32>,
+    parked: bool,
 }
 
 impl ReadyList {
@@ -62,7 +73,7 @@ impl ReadyList {
             states: (0..tasks)
                 .map(|_| AtomicU8::new(TaskState::Idle as u8))
                 .collect(),
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             signal: Condvar::new(),
         }
     }
@@ -90,8 +101,13 @@ impl ReadyList {
                     // convert (re-checking state here would race with
                     // `park_or_requeue` and double-enqueue).
                     if next == TaskState::Scheduled {
-                        self.queue.lock().push_back(task);
-                        self.signal.notify_one();
+                        let mut queue = self.queue.lock();
+                        queue.tasks.push_back(task);
+                        let parked = queue.parked;
+                        drop(queue);
+                        if parked {
+                            self.signal.notify_one();
+                        }
                     }
                     return;
                 }
@@ -102,7 +118,7 @@ impl ReadyList {
 
     /// Pops the next ready task and marks it `Running`.
     pub(crate) fn pop(&self) -> Option<u32> {
-        let task = self.queue.lock().pop_front()?;
+        let task = self.queue.lock().tasks.pop_front()?;
         self.states[task as usize].store(TaskState::Running as u8, Ordering::Release);
         Some(task)
     }
@@ -125,14 +141,14 @@ impl ReadyList {
         }
         // A wake landed while the task ran: requeue it ourselves.
         state.store(TaskState::Scheduled as u8, Ordering::Release);
-        self.queue.lock().push_back(task);
+        self.queue.lock().tasks.push_back(task);
         true
     }
 
     /// Forces `task` back onto the queue (used for an explicit yield).
     pub(crate) fn requeue(&self, task: u32) {
         self.states[task as usize].store(TaskState::Scheduled as u8, Ordering::Release);
-        self.queue.lock().push_back(task);
+        self.queue.lock().tasks.push_back(task);
     }
 
     /// Marks `task` complete; all later wakes are ignored.
@@ -142,14 +158,19 @@ impl ReadyList {
 
     /// `true` when no task is queued.
     pub fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
+        self.queue.lock().tasks.is_empty()
     }
 
-    /// Parks the caller until a wake arrives or `timeout` passes.
+    /// Parks the caller until a wake arrives or `timeout` passes. The
+    /// `parked` flag is set and cleared under the queue lock: a wake
+    /// that takes the lock first leaves its task for the check below,
+    /// and one that takes it after sees the flag and signals.
     pub(crate) fn park(&self, timeout: Duration) {
-        let mut guard = self.queue.lock();
-        if guard.is_empty() {
-            self.signal.wait_for(&mut guard, timeout);
+        let mut queue = self.queue.lock();
+        if queue.tasks.is_empty() {
+            queue.parked = true;
+            self.signal.wait_for(&mut queue, timeout);
+            queue.parked = false;
         }
     }
 }
@@ -226,6 +247,70 @@ mod tests {
         ready.finish(0);
         ready.wake(0);
         assert_eq!(ready.pop(), None);
+    }
+
+    /// Wakers race the worker's park and unpark: each wakes its own task,
+    /// then waits until the worker has served it. A wake that found the
+    /// worker parked but did not signal it would leave the worker asleep
+    /// for its whole park timeout.
+    #[test]
+    fn no_wake_is_lost_while_the_worker_parks_and_unparks() {
+        use std::sync::atomic::{AtomicBool, AtomicU32};
+        use std::time::Instant;
+        const WAKERS: usize = 4;
+        const ROUNDS: u32 = 2_000;
+        const TIMEOUT: Duration = Duration::from_secs(5);
+        let ready = Arc::new(ReadyList::new(WAKERS));
+        let served: Arc<Vec<AtomicU32>> =
+            Arc::new((0..WAKERS).map(|_| AtomicU32::new(0)).collect());
+        let done = Arc::new(AtomicBool::new(false));
+        let lost = Arc::new(AtomicBool::new(false));
+        let worker = {
+            let (ready, served) = (Arc::clone(&ready), Arc::clone(&served));
+            let (done, lost) = (Arc::clone(&done), Arc::clone(&lost));
+            std::thread::spawn(move || loop {
+                while let Some(task) = ready.pop() {
+                    served[task as usize].fetch_add(1, Ordering::AcqRel);
+                    ready.park_or_requeue(task);
+                }
+                if done.load(Ordering::Acquire) {
+                    return;
+                }
+                let parked = Instant::now();
+                ready.park(TIMEOUT);
+                if parked.elapsed() >= TIMEOUT {
+                    lost.store(true, Ordering::Release);
+                    return;
+                }
+            })
+        };
+        let wakers: Vec<_> = (0..WAKERS)
+            .map(|task| {
+                let (ready, served, lost) =
+                    (Arc::clone(&ready), Arc::clone(&served), Arc::clone(&lost));
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        ready.wake(task as u32);
+                        while served[task].load(Ordering::Acquire) <= round {
+                            if lost.load(Ordering::Acquire) {
+                                return;
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for waker in wakers {
+            waker.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        ready.wake(0);
+        worker.join().unwrap();
+        assert!(
+            !lost.load(Ordering::Acquire),
+            "a parked worker missed a wake"
+        );
     }
 
     #[test]

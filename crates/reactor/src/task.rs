@@ -47,7 +47,8 @@ pub struct Context<'a> {
 }
 
 impl Context<'_> {
-    /// Time since the reactor's run epoch, sampled when this poll began.
+    /// Time since the reactor's run epoch, sampled when this poll began
+    /// (in the shutdown sweep, when the sweep began).
     pub fn now(&self) -> Duration {
         self.now
     }

@@ -1,32 +1,41 @@
-//! A timing wheel: O(1) schedule/fire for millions of pending timers.
+//! A two-level timing wheel: O(1) schedule and fire for millions of
+//! pending timers.
 //!
 //! Virtual clients each have exactly one pending event (their next
 //! intended send), so the engine needs a timer structure whose cost per
 //! event is a couple of pointer moves, not a `BinaryHeap`'s `log n`
-//! sift. The wheel hashes deadlines into fixed-width tick slots; events
-//! beyond the wheel's horizon wait in a sorted overflow map and are
-//! promoted as the wheel turns.
-//!
-//! A population armed all at once (a million clients' first arrivals)
-//! goes through [`TimingWheel::bulk_load`] instead: one sort, after which
-//! the events beyond the horizon stay in that sorted run and are promoted
-//! from its front, with no per-event map insert.
+//! sift. The fine level hashes deadlines into `slots` tick-wide slots,
+//! one horizon ahead. Past it, a deadline is appended to the bucket of
+//! its *epoch* (`slots` ticks), which keeps its earliest deadline. When
+//! the wheel enters an epoch, the next epoch's bucket is spread into
+//! per-tick staging lists, and each list is swapped into its emptied
+//! slot as the horizon reaches its tick. So an entry moves at most twice
+//! before it fires, and a slot gets its far entries, in insertion order,
+//! before any entry scheduled straight into it: firing order within one
+//! tick is insertion order, across ticks deadline order at tick
+//! resolution. While every slot is empty the wheel turns straight to the
+//! next far tick, so a virtual clock that jumps hours costs one step.
 //!
 //! Deadlines are `u64` nanosecond offsets from an epoch the caller
-//! chooses (the engine uses its start instant). Firing order within one
-//! tick is insertion order; across ticks it is deadline order at tick
-//! resolution. While every slot is empty the wheel turns straight to the
-//! next overflow tick, so a virtual clock that jumps hours ahead costs
-//! one step, not one per tick.
+//! chooses (the engine uses its start instant).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// One scheduled event: the exact deadline and the caller's payload
 /// (client index).
 type Entry = (u64, u32);
 
-/// A fixed-horizon timing wheel with sorted overflow.
+/// The entries of one epoch beyond the staged one.
+#[derive(Debug)]
+struct Bucket {
+    /// In insertion order.
+    entries: Vec<Entry>,
+    /// The earliest deadline in `entries`.
+    earliest: u64,
+}
+
+/// A fixed-horizon timing wheel over per-epoch far buckets.
 #[derive(Debug)]
 pub struct TimingWheel {
     tick_nanos: u64,
@@ -34,20 +43,24 @@ pub struct TimingWheel {
     /// The tick currently being processed; every slot entry's tick is in
     /// `[current_tick, current_tick + slots.len())`.
     current_tick: u64,
-    /// Events beyond the horizon, keyed by tick.
-    overflow: BTreeMap<u64, Vec<Entry>>,
-    /// Bulk-loaded events beyond the horizon, sorted by `(tick,
-    /// payload)`. Loaded while `overflow` was empty, so within a tick
-    /// they precede every `overflow` entry.
-    loaded: VecDeque<Entry>,
+    /// The first tick of the staged epoch, the one after `current_tick`'s.
+    staged_start: u64,
+    /// `staged[i]` holds the staged epoch's tick `t ≡ i` (mod
+    /// `slots.len()`) while `t` is beyond the horizon. Allocated on first
+    /// use: a wheel whose timers all fall inside its horizon has none.
+    staged: Vec<Vec<Entry>>,
+    /// The epochs after the staged one, by epoch number.
+    far: BTreeMap<u64, Bucket>,
     len: usize,
-    /// Entries in `slots` (the rest wait in `overflow` or `loaded`).
+    /// Entries in `slots`.
     slotted: usize,
+    /// Entries in `staged` (the rest of the pending ones are in `far`).
+    staged_len: usize,
 }
 
 impl TimingWheel {
     /// Creates a wheel of `slots` ticks of `tick` width each; the horizon
-    /// is `slots × tick`, beyond which events sit in the overflow map.
+    /// is `slots × tick`, beyond which events wait in per-epoch buckets.
     ///
     /// # Panics
     ///
@@ -59,10 +72,12 @@ impl TimingWheel {
             tick_nanos: tick.as_nanos() as u64,
             slots: vec![Vec::new(); slots],
             current_tick: 0,
-            overflow: BTreeMap::new(),
-            loaded: VecDeque::new(),
+            staged_start: slots as u64,
+            staged: Vec::new(),
+            far: BTreeMap::new(),
             len: 0,
             slotted: 0,
+            staged_len: 0,
         }
     }
 
@@ -80,47 +95,35 @@ impl TimingWheel {
     /// in the past land in the current tick and fire on the next
     /// [`TimingWheel::advance`].
     pub fn schedule(&mut self, deadline_nanos: u64, client: u32) {
+        let width = self.slots.len() as u64;
         let tick = (deadline_nanos / self.tick_nanos).max(self.current_tick);
-        if tick >= self.current_tick + self.slots.len() as u64 {
-            self.overflow
-                .entry(tick)
-                .or_default()
-                .push((deadline_nanos, client));
-        } else {
-            let index = (tick % self.slots.len() as u64) as usize;
-            self.slots[index].push((deadline_nanos, client));
+        if tick < self.current_tick + width {
+            self.slots[(tick % width) as usize].push((deadline_nanos, client));
             self.slotted += 1;
+        } else if tick < self.staged_start + width {
+            self.stage(tick, (deadline_nanos, client));
+        } else {
+            let bucket = self.far.entry(tick / width).or_insert(Bucket {
+                entries: Vec::new(),
+                earliest: deadline_nanos,
+            });
+            bucket.earliest = bucket.earliest.min(deadline_nanos);
+            bucket.entries.push((deadline_nanos, client));
         }
         self.len += 1;
     }
 
-    /// Schedules every entry of `entries` at once: equivalent to calling
-    /// [`TimingWheel::schedule`] for each of them in ascending payload
-    /// order, and so to spawn-order arming when payloads are task
-    /// indices (one entry per payload).
-    ///
-    /// One unstable sort by `(tick, payload)` puts the entries in the
-    /// order one-at-a-time insertion would leave them in each tick. The
-    /// entries inside the horizon then go to their slots; the rest stay
-    /// in that sorted run until the wheel turns to them.
+    /// Schedules every entry of `entries`: one
+    /// [`TimingWheel::schedule`] call each, in ascending payload order,
+    /// and so in spawn order when payloads are task indices (one entry
+    /// per payload). Input already in payload order is not sorted.
     pub fn bulk_load(&mut self, mut entries: Vec<Entry>) {
-        if !self.overflow.is_empty() || !self.loaded.is_empty() {
-            // Earlier events already wait beyond the horizon; these go
-            // after them, as one-at-a-time scheduling would put them.
+        if !entries.is_sorted_by_key(|&(_, payload)| payload) {
             entries.sort_unstable_by_key(|&(_, payload)| payload);
-            for (deadline, payload) in entries {
-                self.schedule(deadline, payload);
-            }
-            return;
         }
-        let tick_nanos = self.tick_nanos;
-        let first_tick = self.current_tick;
-        entries.sort_unstable_by_key(|&(deadline, payload)| {
-            ((deadline / tick_nanos).max(first_tick), payload)
-        });
-        self.len += entries.len();
-        self.loaded = entries.into();
-        self.promote_overflow();
+        for (deadline, payload) in entries {
+            self.schedule(deadline, payload);
+        }
     }
 
     /// Turns the wheel to `now_nanos`, appending every due event to
@@ -128,97 +131,139 @@ impl TimingWheel {
     /// the events in the current tick whose exact deadline has passed.
     pub fn advance(&mut self, now_nanos: u64, due: &mut Vec<Entry>) {
         let before = due.len();
+        let width = self.slots.len() as u64;
         let target = now_nanos / self.tick_nanos;
         while self.current_tick < target {
             if self.slotted == 0 {
-                // Nothing until the first overflow tick: turn straight
-                // to it (or to the target), where promotion refills the
-                // slots.
-                let next = self.first_overflow_tick().unwrap_or(target);
-                self.current_tick = next.clamp(self.current_tick, target);
-                self.promote_overflow();
+                // Nothing until the first far tick: turn straight to it
+                // (or to the target).
+                let next = self.first_far_tick().unwrap_or(target);
+                self.jump(next.clamp(self.current_tick, target));
                 if self.current_tick == target {
                     break;
                 }
             }
-            let index = (self.current_tick % self.slots.len() as u64) as usize;
+            let index = (self.current_tick % width) as usize;
+            self.slotted -= self.slots[index].len();
             due.append(&mut self.slots[index]);
             self.current_tick += 1;
-            self.promote_overflow();
+            // The tick one horizon on enters it, into the slot just
+            // emptied; at an epoch boundary the next epoch is staged.
+            self.promote(index);
+            if self.current_tick == self.staged_start {
+                self.staged_start += width;
+                self.unbucket();
+            }
         }
-        let index = (self.current_tick % self.slots.len() as u64) as usize;
+        let index = (self.current_tick % width) as usize;
         let slot = &mut self.slots[index];
         let mut i = 0;
         while i < slot.len() {
             if slot[i].0 <= now_nanos {
                 due.push(slot.swap_remove(i));
+                self.slotted -= 1;
             } else {
                 i += 1;
             }
         }
         self.len -= due.len() - before;
-        self.slotted -= due.len() - before;
+    }
+
+    /// Appends `entry` to the staging list of `tick`, in the staged epoch.
+    fn stage(&mut self, tick: u64, entry: Entry) {
+        let width = self.slots.len();
+        if self.staged.is_empty() {
+            self.staged = vec![Vec::new(); width];
+        }
+        self.staged[(tick % width as u64) as usize].push(entry);
+        self.staged_len += 1;
+    }
+
+    /// Moves staging list `index` into its fine slot, which is empty.
+    fn promote(&mut self, index: usize) {
+        if self.staged_len == 0 {
+            return;
+        }
+        let staged = &mut self.staged[index];
+        self.slotted += staged.len();
+        self.staged_len -= staged.len();
+        std::mem::swap(&mut self.slots[index], staged);
+    }
+
+    /// Turns a wheel whose slots are empty to tick `to`, which is no
+    /// later than any pending entry.
+    fn jump(&mut self, to: u64) {
+        let width = self.slots.len() as u64;
+        let from = self.current_tick;
+        self.current_tick = to;
+        // Staged ticks the horizon now covers, up to the end of the
+        // staged epoch.
+        for tick in from + width..(to + width).min(self.staged_start + width) {
+            if self.staged_len == 0 {
+                break;
+            }
+            self.promote((tick % width) as usize);
+        }
+        if to >= self.staged_start {
+            self.staged_start = (to / width + 1) * width;
+            self.unbucket();
+        }
+    }
+
+    /// Moves the far buckets up to the staged epoch onto the wheel, each
+    /// in insertion order: into the slots inside the horizon, and into
+    /// the staging lists beyond it.
+    fn unbucket(&mut self) {
+        let width = self.slots.len() as u64;
+        let horizon = self.current_tick + width;
+        let staged_epoch = self.staged_start / width;
+        while let Some(bucket) = self.far.first_entry() {
+            if *bucket.key() > staged_epoch {
+                break;
+            }
+            for (deadline, payload) in bucket.remove().entries {
+                let tick = deadline / self.tick_nanos;
+                if tick < horizon {
+                    self.slots[(tick % width) as usize].push((deadline, payload));
+                    self.slotted += 1;
+                } else {
+                    self.stage(tick, (deadline, payload));
+                }
+            }
+        }
+    }
+
+    /// The earliest tick holding a staged entry.
+    fn first_staged_tick(&self) -> Option<u64> {
+        if self.staged_len == 0 {
+            return None;
+        }
+        let width = self.slots.len() as u64;
+        (self.current_tick + width..self.staged_start + width)
+            .find(|&tick| !self.staged[(tick % width) as usize].is_empty())
     }
 
     /// The earliest tick holding an event beyond the horizon.
-    fn first_overflow_tick(&self) -> Option<u64> {
-        let loaded = self
-            .loaded
-            .front()
-            .map(|&(deadline, _)| (deadline / self.tick_nanos).max(self.current_tick));
-        let overflow = self.overflow.keys().next().copied();
-        loaded.into_iter().chain(overflow).min()
-    }
-
-    /// Moves overflow events whose tick is now within the horizon into
-    /// their slots: bulk-loaded ones first, as they were scheduled first.
-    fn promote_overflow(&mut self) {
-        let horizon = self.current_tick + self.slots.len() as u64;
-        while let Some(&(deadline, _)) = self.loaded.front() {
-            let tick = (deadline / self.tick_nanos).max(self.current_tick);
-            if tick >= horizon {
-                break;
-            }
-            let index = (tick % self.slots.len() as u64) as usize;
-            self.slots[index].extend(self.loaded.pop_front());
-            self.slotted += 1;
-        }
-        while let Some(entry) = self.overflow.first_entry() {
-            if *entry.key() >= horizon {
-                break;
-            }
-            let (tick, entries) = entry.remove_entry();
-            let index = (tick % self.slots.len() as u64) as usize;
-            self.slotted += entries.len();
-            self.slots[index].extend(entries);
-        }
+    fn first_far_tick(&self) -> Option<u64> {
+        self.first_staged_tick().or_else(|| {
+            let bucket = self.far.values().next()?;
+            Some(bucket.earliest / self.tick_nanos)
+        })
     }
 
     /// The earliest pending deadline, in nanoseconds. `None` when empty.
     pub fn next_deadline(&self) -> Option<u64> {
-        for offset in 0..self.slots.len() as u64 {
-            let tick = self.current_tick + offset;
-            let slot = &self.slots[(tick % self.slots.len() as u64) as usize];
-            if let Some(min) = slot.iter().map(|entry| entry.0).min() {
+        let width = self.slots.len() as u64;
+        let earliest = |entries: &Vec<Entry>| entries.iter().map(|entry| entry.0).min();
+        for tick in self.current_tick..self.current_tick + width {
+            if let Some(min) = earliest(&self.slots[(tick % width) as usize]) {
                 return Some(min);
             }
         }
-        // The earliest tick group of each overflow store holds its
-        // earliest deadline.
-        let loaded = self.loaded.front().and_then(|&(first, _)| {
-            let tick = first / self.tick_nanos;
-            self.loaded
-                .iter()
-                .take_while(|entry| entry.0 / self.tick_nanos == tick)
-                .map(|entry| entry.0)
-                .min()
-        });
-        let overflow = self
-            .overflow
-            .values()
-            .next()
-            .and_then(|entries| entries.iter().map(|entry| entry.0).min());
-        loaded.into_iter().chain(overflow).min()
+        match self.first_staged_tick() {
+            Some(tick) => earliest(&self.staged[(tick % width) as usize]),
+            None => self.far.values().next().map(|bucket| bucket.earliest),
+        }
     }
 }
 
