@@ -1,8 +1,10 @@
 //! Micro-benchmarks of the campaign journal, the process-mode and
 //! `--resume` data path: appending events (frame, CRC32, chained
-//! HMAC-SHA256, one write each), salvaging a journal (read, CRC and MAC
-//! check, decode), one record's MAC on each SHA-256 kernel this CPU
-//! runs, and CRC32 over 64 bytes.
+//! HMAC-SHA256) group-committed, as a batch of events arriving together
+//! is, and with a flush (one `write`) after each, as events arriving one
+//! at a time are; salvaging a journal (read, CRC and MAC check, decode);
+//! one record's MAC on each SHA-256 kernel this CPU runs; and CRC32 over
+//! 64 bytes.
 //!
 //! The events are shaped like perfbench's `replay-journal` workload: a
 //! queue message's send followed by its receive, 256-byte body, no user
@@ -88,6 +90,19 @@ fn append_and_salvage(c: &mut Criterion) {
             |mut writer| {
                 for event in &events {
                     writer.append_event(0, event).expect("append");
+                }
+                writer.records()
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("append_event_flush_each", |b| {
+        b.iter_batched(
+            || JournalWriter::create(&path, &key).expect("create journal"),
+            |mut writer| {
+                for event in &events {
+                    writer.append_event(0, event).expect("append");
+                    writer.flush().expect("flush");
                 }
                 writer.records()
             },

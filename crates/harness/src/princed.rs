@@ -21,8 +21,12 @@
 //!   the aborted attempt, and respawns with bounded exponential backoff
 //!   ([`RespawnSchedule`]) before giving the test up as inconclusive;
 //! * every collected event and verdict is appended to an HMAC-chained,
-//!   CRC-framed campaign journal ([`jmst_store::journal`]); a prince
-//!   killed mid-campaign restarts with `--resume`, verifies the chain,
+//!   CRC-framed campaign journal ([`jmst_store::journal`]). Appends are
+//!   buffered and written out whenever the prince is about to wait (for
+//!   a worker to connect, for its next frame, before a respawn backoff)
+//!   and synced at every test's end, so a prince killed mid-campaign
+//!   loses at most records of the test in progress, which resume reruns
+//!   anyway. It restarts with `--resume`, verifies the chain,
 //!   salvages any damaged tail, replays completed tests' events through
 //!   the analyzer, and continues from the first unfinished test — the
 //!   resumed report is byte-identical (via
@@ -205,7 +209,7 @@ impl ProcessPrince {
         let mut journal: Option<JournalWriter> = None;
 
         if let Some(path) = &self.journal {
-            if self.resume && path.exists() {
+            let mut writer = if self.resume && path.exists() {
                 // Journal::resume refuses, without truncating anything, a
                 // journal whose first record fails its MAC (wrong key or
                 // tampering) and one holding a verified record this build
@@ -252,7 +256,7 @@ impl ProcessPrince {
                         .map_err(|e| e.to_string())?;
                 }
                 start_index = replay.resume_index();
-                journal = Some(writer);
+                writer
             } else {
                 let mut writer = JournalWriter::create(path, &self.key)
                     .map_err(|e| format!("journal {}: {e}", path.display()))?;
@@ -263,8 +267,14 @@ impl ProcessPrince {
                         spec_digest: digest.clone(),
                     })
                     .map_err(|e| e.to_string())?;
-                journal = Some(writer);
-            }
+                writer
+            };
+            // Appends are buffered: write them out now, so a journal that
+            // cannot be written fails the campaign before any test runs.
+            writer
+                .flush()
+                .map_err(|e| format!("journal {}: {e}", path.display()))?;
+            journal = Some(writer);
         }
 
         let mut interrupted = false;
@@ -359,6 +369,7 @@ impl ProcessPrince {
                 attempt: 1,
             },
         );
+        journal_flush(journal);
         let mut prince = DaemonPrince::with_analyzer(self.analyzer.clone());
         if let Some(dir) = &self.trace_dir {
             prince = prince.with_trace_dir(dir);
@@ -366,7 +377,8 @@ impl ProcessPrince {
         let (result, events) = prince.run_test_collected(factory, spec);
         // Thread-mode events are journaled at test end (an in-process
         // crash would take the journal writer down anyway); process mode
-        // journals live, event by event.
+        // journals live, writing out each batch before it waits for the
+        // next.
         for event in &events {
             journal_append_event(journal, index, event);
         }
@@ -378,9 +390,7 @@ impl ProcessPrince {
                 verdict: verdict_of(&result.outcome),
             },
         );
-        if let Some(writer) = journal {
-            let _ = writer.sync();
-        }
+        journal_sync(journal);
         result
     }
 
@@ -400,9 +410,7 @@ impl ProcessPrince {
                     verdict: verdict_of(&outcome),
                 },
             );
-            if let Some(writer) = journal {
-                let _ = writer.sync();
-            }
+            journal_sync(journal);
             TestResult {
                 name: spec.name.clone(),
                 outcome,
@@ -496,9 +504,7 @@ impl ProcessPrince {
                                 reason: reason.clone(),
                             },
                         );
-                        if let Some(writer) = journal {
-                            let _ = writer.sync();
-                        }
+                        journal_sync(journal);
                         eprintln!(
                             "[jmst-princed] {}: {reason}; respawning worker (attempt {})",
                             spec.name,
@@ -544,6 +550,8 @@ impl ProcessPrince {
         chaos_pending: &mut bool,
         journal: &mut Option<JournalWriter>,
     ) -> AttemptResult {
+        // Nothing is appended while the worker starts and connects.
+        journal_flush(journal);
         let pid = match worker.spawn(socket) {
             Ok(child) => registry.register(child),
             Err(reason) => {
@@ -624,6 +632,11 @@ impl ProcessPrince {
         let mut events: Vec<Event> = Vec::new();
         let mut surfaced = false;
         let terminal = loop {
+            // Journal what has arrived before a read that may block: the
+            // buffered records then reach the file while the worker runs.
+            if reader.buffer().is_empty() {
+                journal_flush(journal);
+            }
             match proto::read_frame(&mut reader) {
                 Ok(Some(WireMessage::Event { event })) => {
                     journal_append_event(journal, index, &event);
@@ -803,6 +816,18 @@ fn journal_append(journal: &mut Option<JournalWriter>, record: &JournalRecord) {
 /// at all when no journal is open.
 fn journal_append_event(journal: &mut Option<JournalWriter>, index: usize, event: &Event) {
     journal_write(journal, |writer| writer.append_event(index, event));
+}
+
+/// Writes out the journal's buffered records; a failure disables the
+/// journal, as in [`journal_append`].
+fn journal_flush(journal: &mut Option<JournalWriter>) {
+    journal_write(journal, JournalWriter::flush);
+}
+
+/// Writes out and syncs the journal's buffered records; a failure
+/// disables the journal, as in [`journal_append`].
+fn journal_sync(journal: &mut Option<JournalWriter>) {
+    journal_write(journal, JournalWriter::sync);
 }
 
 fn journal_write(
@@ -1160,8 +1185,56 @@ mod tests {
         assert_eq!(intern_stage("martians"), "unknown");
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_flush_or_sync_disables_the_journal() {
+        use std::os::unix::ffi::OsStrExt;
+        use std::os::unix::fs::OpenOptionsExt;
+        extern "C" {
+            fn mkfifo(path: *const std::ffi::c_char, mode: u32) -> i32;
+        }
+        const O_NONBLOCK: i32 = 0o4000;
+
+        let dir = std::env::temp_dir().join(format!("jmst-princed-f-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        type WriteOut = fn(&mut Option<JournalWriter>);
+        for (name, write_out) in [("flush", journal_flush as WriteOut), ("sync", journal_sync)] {
+            // A journal on a FIFO whose reader has gone: the header fits
+            // the pipe, the first write after the reader closes fails.
+            let fifo = dir.join(format!("{name}.fifo"));
+            let _ = std::fs::remove_file(&fifo);
+            let c_path = std::ffi::CString::new(fifo.as_os_str().as_bytes()).unwrap();
+            // SAFETY: mkfifo(3) with a NUL-terminated path.
+            assert_eq!(unsafe { mkfifo(c_path.as_ptr(), 0o600) }, 0, "mkfifo");
+            let reader = std::fs::OpenOptions::new()
+                .read(true)
+                .custom_flags(O_NONBLOCK)
+                .open(&fifo)
+                .unwrap();
+            let mut journal = Some(JournalWriter::create(&fifo, &JournalKey::default()).unwrap());
+            drop(reader);
+            journal_append(
+                &mut journal,
+                &JournalRecord::TestStarted {
+                    index: 0,
+                    name: "t".to_owned(),
+                    attempt: 1,
+                },
+            );
+            assert!(journal.is_some(), "{name}: an append is only buffered");
+            write_out(&mut journal);
+            assert!(
+                journal.is_none(),
+                "{name}: a failed write-out disables the journal"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn thread_mode_campaign_journals_and_resume_replays_identically() {
+        // The campaigns poll the termination flag between tests.
+        let _flag = signals::flag_test_lock();
         let dir = std::env::temp_dir().join(format!("jmst-princed-t-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("campaign.jnl");
@@ -1210,6 +1283,7 @@ mod tests {
 
     #[test]
     fn interrupted_thread_campaign_resumes_from_the_unfinished_test() {
+        let _flag = signals::flag_test_lock();
         let dir = std::env::temp_dir().join(format!("jmst-princed-i-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("campaign.jnl");

@@ -211,6 +211,12 @@ fn encode_message(message: &WireMessage, w: &mut Writer<'_>) -> Result<(), Proto
     Ok(())
 }
 
+/// Payload bytes a frame is allocated with: an event carrying a few
+/// short properties fits, so its frame is one allocation; a larger
+/// message (a `RunTest` spec, an event with long names or many
+/// properties) grows it.
+const EVENT_PAYLOAD_CAPACITY: usize = 248;
+
 fn decode_message(payload: &[u8]) -> Result<WireMessage, ProtoError> {
     let mut r = Reader::new(payload);
     let message = match r.u8()? {
@@ -257,7 +263,8 @@ fn send_frame(writer: &mut impl Write, frame: &mut [u8]) -> Result<(), ProtoErro
     Ok(())
 }
 
-/// Writes one message as a single frame.
+/// Writes one message as a single frame, in one `write` call. The frame
+/// is allocated once, with room for an event of the usual size.
 ///
 /// # Errors
 ///
@@ -265,7 +272,8 @@ fn send_frame(writer: &mut impl Write, frame: &mut [u8]) -> Result<(), ProtoErro
 /// [`ProtoError::Malformed`] if the message cannot be encoded within
 /// [`MAX_FRAME_LEN`].
 pub fn write_frame(writer: &mut impl Write, message: &WireMessage) -> Result<(), ProtoError> {
-    let mut frame = vec![0u8; FRAME_HEADER_LEN];
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + EVENT_PAYLOAD_CAPACITY);
+    frame.resize(FRAME_HEADER_LEN, 0);
     encode_message(message, &mut Writer(&mut frame))?;
     send_frame(writer, &mut frame)
 }
@@ -445,6 +453,60 @@ mod tests {
         for message in &messages {
             assert_eq!(&round_trip(message), message, "{message:?}");
         }
+    }
+
+    /// A topic receive carrying the harness's four properties (two
+    /// identity properties, two spec-declared ones).
+    fn four_property_receive() -> Event {
+        use jmst_api::value::Value;
+        let mut properties = jmst_api::properties::Properties::new();
+        properties.set("jmst_producer", Value::Long(1)).unwrap();
+        properties.set("jmst_seq", Value::Long(123_456)).unwrap();
+        properties.set("region", Value::from("emea")).unwrap();
+        properties.set("tier", Value::Int(2)).unwrap();
+        let topic = jmst_api::destination::TopicName::new("fanout");
+        let consumer = jmst_api::id::ConsumerId::from_raw(3);
+        Event {
+            seq: 1_000_000,
+            at: jmst_api::time::Timestamp::from_nanos(5_000_000_000),
+            node: jmst_api::id::NodeId::from_raw(1),
+            kind: jmst_store::EventKind::Receive {
+                consumer,
+                endpoint: jmst_api::destination::EndpointId::non_durable(topic.clone(), consumer),
+                record: jmst_store::MessageRecord {
+                    message: jmst_api::id::MessageId::from_raw(1_000_000),
+                    producer: jmst_api::id::ProducerId::from_raw(1),
+                    sequence: 123_456,
+                    destination: Destination::Topic(topic),
+                    priority: jmst_api::modes::Priority::DEFAULT,
+                    delivery_mode: jmst_api::modes::DeliveryMode::Persistent,
+                    time_to_live: jmst_api::modes::TimeToLive::FOREVER,
+                    sent_at: jmst_api::time::Timestamp::from_nanos(4_999_000_000),
+                    body_bytes: 1024,
+                    redelivered: false,
+                    delivery_count: 1,
+                    properties,
+                },
+                session: jmst_api::id::SessionId::from_raw(7),
+                tx: None,
+            },
+        }
+    }
+
+    #[test]
+    fn a_four_property_event_fits_the_frame_allocation() {
+        // `write_frame` allocates EVENT_PAYLOAD_CAPACITY payload bytes
+        // up front; the usual event must not have to grow the frame.
+        let mut payload = Vec::new();
+        let event = WireMessage::Event {
+            event: four_property_receive(),
+        };
+        encode_message(&event, &mut Writer(&mut payload)).unwrap();
+        assert!(
+            payload.len() <= EVENT_PAYLOAD_CAPACITY,
+            "{} payload bytes > {EVENT_PAYLOAD_CAPACITY}",
+            payload.len()
+        );
     }
 
     #[test]

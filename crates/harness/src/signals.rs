@@ -66,6 +66,23 @@ pub fn reset_termination() {
     TERMINATE.store(false, Ordering::SeqCst);
 }
 
+/// Serialises the lib tests that set, clear or poll the flag: it is
+/// process-global, and the test harness runs tests on parallel threads,
+/// so a test that clears the flag must not do so while another test's
+/// campaign is meant to see it raised (or the other way round). Each
+/// holder starts with the flag clear.
+#[cfg(test)]
+pub(crate) fn flag_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed holding the lock poisoned it and may have left
+    // the flag raised; clearing the flag undoes all it could leave.
+    let guard = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    reset_termination();
+    guard
+}
+
 /// Sends `signum` to the current process — the test hook proving the
 /// installed handler actually runs on a real delivered signal.
 pub fn raise_signal(signum: i32) {
@@ -79,10 +96,12 @@ pub fn raise_signal(signum: i32) {
 mod tests {
     use super::*;
 
-    // One test exercises both signals sequentially: signal-handler state
-    // is process-global, so parallel tests would race on the flag.
+    // One test exercises both signals sequentially, holding the flag
+    // lock: signal-handler state is process-global, so tests in parallel
+    // would race on the flag.
     #[test]
     fn delivered_signals_set_the_flag_and_reset_clears_it() {
+        let _flag = flag_test_lock();
         install_termination_handler();
         install_termination_handler(); // idempotent
 

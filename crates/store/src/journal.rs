@@ -14,6 +14,9 @@
 //!   reordering, and splicing records between journals keyed
 //!   differently).
 //!
+//! [`JournalWriter`] group-commits its appends: where it flushes changes
+//! when bytes land, never which bytes.
+//!
 //! ## Wire format
 //!
 //! ```text
@@ -749,7 +752,7 @@ pub enum JournalError {
     },
     /// A frame verified (CRC and MAC) but its payload is not a valid
     /// [`JournalRecord`] — a version skew, not damage. Appending returns
-    /// it, with nothing written, for a record too large to frame.
+    /// it, with nothing buffered, for a record too large to frame.
     Malformed {
         /// Record index of the undecodable payload.
         index: usize,
@@ -801,15 +804,28 @@ impl From<std::io::Error> for JournalError {
 // Writer
 // ---------------------------------------------------------------------
 
+/// Bytes of whole frames a [`JournalWriter`] gathers before it hands
+/// them to the OS in one `write`.
+pub const GROUP_COMMIT_LEN: usize = 64 * 1024;
+
 /// Appends records to a journal, maintaining the MAC chain.
+///
+/// Appends are group-committed: whole frames gather in a
+/// [`GROUP_COMMIT_LEN`] buffer, which goes to the OS in one `write`
+/// when it fills, on [`JournalWriter::flush`], in
+/// [`JournalWriter::sync`], and on drop. A buffered record is lost if
+/// the process dies before one of those; the file still ends on a frame
+/// boundary or, if the `write` itself was cut short, in a partial frame
+/// that [`Journal::salvage`] reports as a truncated tail.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
     key: JournalKey,
     mac: [u8; 32],
     records: usize,
-    /// The frame being assembled, kept to reuse its allocation.
-    frame: Vec<u8>,
+    /// Whole frames not yet written; each record is framed in place at
+    /// its end.
+    pending: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -830,18 +846,20 @@ impl JournalWriter {
             key: key.clone(),
             mac,
             records,
-            frame: Vec::new(),
+            pending: Vec::with_capacity(GROUP_COMMIT_LEN),
         }
     }
 
-    /// Appends one record and flushes it to the OS.
+    /// Appends one record to the group-commit buffer, writing the buffer
+    /// out if the record fills it. The record reaches the file by the
+    /// next [`JournalWriter::flush`], [`JournalWriter::sync`] or drop.
     ///
     /// # Errors
     ///
     /// [`JournalError::Malformed`] if the record's payload would exceed
-    /// [`MAX_RECORD_LEN`] (nothing is written, and the journal stays
-    /// usable); [`JournalError::Io`] if the write fails, after which the
-    /// journal should be considered dead.
+    /// [`MAX_RECORD_LEN`] (nothing is buffered, and the journal stays
+    /// usable); [`JournalError::Io`] if writing a full buffer fails,
+    /// after which the journal should be considered dead.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         self.append_payload(|out| record.encode(out))
     }
@@ -859,33 +877,58 @@ impl JournalWriter {
 
     /// Frames the payload `encode` appends: length, CRC, payload, MAC.
     fn append_payload(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), JournalError> {
-        let frame = &mut self.frame;
-        frame.clear();
-        frame.resize(FRAME_HEADER_LEN, 0);
-        encode(frame);
-        let payload = &frame[FRAME_HEADER_LEN..];
-        let len = u32::try_from(payload.len())
+        let start = self.pending.len();
+        let body = start + FRAME_HEADER_LEN;
+        self.pending.resize(body, 0);
+        encode(&mut self.pending);
+        let payload = &self.pending[body..];
+        let Some(len) = u32::try_from(payload.len())
             .ok()
             .filter(|&len| len <= MAX_RECORD_LEN)
-            .ok_or_else(|| JournalError::Malformed {
+        else {
+            let reason = format!("a {}-byte record exceeds MAX_RECORD_LEN", payload.len());
+            self.pending.truncate(start);
+            return Err(JournalError::Malformed {
                 index: self.records,
-                reason: format!("a {}-byte record exceeds MAX_RECORD_LEN", payload.len()),
-            })?;
+                reason,
+            });
+        };
         let crc = crc32(payload);
         let mac = self.key.mac(&self.mac, payload);
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        frame.extend_from_slice(&mac);
-        // One write call per record: a crash can truncate the tail frame
-        // but never interleave two frames.
-        self.file.write_all(frame)?;
+        self.pending[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.pending[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+        self.pending.extend_from_slice(&mac);
         self.mac = mac;
         self.records += 1;
+        if self.pending.len() >= GROUP_COMMIT_LEN {
+            self.flush()?;
+        }
         Ok(())
     }
 
-    /// Asks the OS to push appended records to stable storage.
+    /// Hands every buffered record to the OS in one `write`: after it
+    /// returns, the file ends on a frame boundary and a reader sees every
+    /// record appended so far. It does not wait for stable storage; see
+    /// [`JournalWriter::sync`].
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if the write fails. The buffered records are
+    /// dropped either way, so a later flush cannot write a second copy
+    /// after a partial one; the journal should be considered dead.
+    pub fn flush(&mut self) -> Result<(), JournalError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.pending);
+        self.pending.clear();
+        written?;
+        Ok(())
+    }
+
+    /// Flushes, then asks the OS to push the journal to stable storage.
     pub fn sync(&mut self) -> Result<(), JournalError> {
+        self.flush()?;
         self.file.sync_data()?;
         Ok(())
     }
@@ -894,6 +937,14 @@ impl JournalWriter {
     /// prefix it resumed after).
     pub fn records(&self) -> usize {
         self.records
+    }
+}
+
+impl Drop for JournalWriter {
+    fn drop(&mut self) {
+        // Nowhere to report a failure: a caller that must know flushes
+        // (or syncs) first.
+        let _ = self.flush();
     }
 }
 
@@ -1395,6 +1446,12 @@ mod tests {
             matches!(err, JournalError::Malformed { index: 1, .. }),
             "{err}"
         );
+        // Nothing of the refused record was buffered.
+        writer.flush().unwrap();
+        let salvage = Journal::salvage(&path, &key).unwrap();
+        assert!(salvage.intact(), "{:?}", salvage.damage);
+        assert_eq!(salvage.records, vec![record(0)]);
+        assert_eq!(salvage.valid_len, std::fs::metadata(&path).unwrap().len());
         writer.append(&record(1)).unwrap();
         drop(writer);
         let read = Journal::read(&path, &key).unwrap();
