@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the analysis pipeline: full property
 //! checking over traces of increasing size, the checker layer on topic
-//! fan-out traffic that carries user properties, canonical ordering
-//! (the batch sort and the live reorder buffer), and the selector engine
-//! in isolation.
+//! fan-out traffic that carries user properties, the duplicate checker
+//! on client-acknowledged queue traffic, canonical ordering (the batch
+//! sort and the live reorder buffer), and the selector engine in
+//! isolation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use jmst_api::body::Body;
@@ -13,6 +14,8 @@ use jmst_api::modes::SessionMode;
 use jmst_api::selector::Selector;
 use jmst_api::time::Timestamp;
 use jmst_api::value::Value;
+use jmst_core::properties::duplicates::DuplicatesChecker;
+use jmst_core::properties::PropertyChecker;
 use jmst_core::{AnalysisConfig, Analyzer};
 use jmst_harness::model::{PubSubScenario, PublisherSpec};
 use jmst_sim::ServiceModel;
@@ -220,6 +223,119 @@ fn fanout_props(c: &mut Criterion) {
     group.finish();
 }
 
+/// Client-acknowledge consumers on the one queue of `duplicates`.
+const ACK_CONSUMERS: u64 = 4;
+
+/// A clean, ack-heavy queue trace: `messages` messages, each received by
+/// one of four client-acknowledge consumers in turn (a session each).
+/// A session acknowledges after every 4th of its receives, and every
+/// 100th message is redelivered, flagged, before its session's ack.
+fn ack_heavy_events(messages: u64) -> Vec<Event> {
+    let endpoint = EndpointId::for_queue("q".into());
+    let mut events = Vec::new();
+    let mut push = |at: Timestamp, kind: EventKind| {
+        events.push(Event {
+            seq: events.len() as u64,
+            at,
+            node: NodeId::from_raw(0),
+            kind,
+        })
+    };
+    for consumer in 0..ACK_CONSUMERS {
+        push(
+            Timestamp::ZERO,
+            EventKind::ConsumerCreated {
+                consumer: ConsumerId::from_raw(consumer),
+                endpoint: endpoint.clone(),
+                session_mode: SessionMode::ClientAcknowledge,
+                selector: None,
+            },
+        );
+    }
+    for i in 0..messages {
+        let at = Timestamp::from_micros((i + 1) * 20);
+        let (consumer, session) = (i % ACK_CONSUMERS, SessionId::from_raw(i % ACK_CONSUMERS));
+        let mut record = MessageRecord {
+            message: MessageId::from_raw(i + 1),
+            producer: ProducerId::from_raw(0),
+            sequence: i,
+            destination: Destination::queue("q"),
+            priority: Default::default(),
+            delivery_mode: Default::default(),
+            time_to_live: jmst_api::modes::TimeToLive::FOREVER,
+            sent_at: at,
+            body_bytes: 256,
+            redelivered: false,
+            delivery_count: 1,
+            properties: Default::default(),
+        };
+        push(
+            at,
+            EventKind::Send {
+                record: record.clone(),
+                session: SessionId::from_raw(100),
+                tx: None,
+            },
+        );
+        let receive = |record: MessageRecord| EventKind::Receive {
+            consumer: ConsumerId::from_raw(consumer),
+            endpoint: endpoint.clone(),
+            record,
+            session,
+            tx: None,
+        };
+        push(at, receive(record.clone()));
+        if i % 100 == 99 {
+            record.redelivered = true;
+            record.delivery_count = 2;
+            push(at, receive(record));
+        }
+        if (i / ACK_CONSUMERS) % 4 == 3 {
+            push(at, EventKind::Acknowledge { session });
+        }
+    }
+    events
+}
+
+/// The duplicate checker alone on an ack-heavy trace: observe cost per
+/// event, and the cost of `finish`.
+fn duplicates(c: &mut Criterion) {
+    let events = ack_heavy_events(30_000);
+    let count = events.len() as u64;
+    let observed = || {
+        let mut checker = DuplicatesChecker::new();
+        for event in &events {
+            checker.observe(event);
+        }
+        checker
+    };
+    let mut group = c.benchmark_group(format!("duplicates/{count}_events"));
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(count));
+    group.bench_function("observe", |b| {
+        b.iter_batched_ref(
+            DuplicatesChecker::new,
+            |checker| {
+                for event in &events {
+                    checker.observe(event);
+                }
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.bench_function("finish", |b| {
+        b.iter_batched(
+            observed,
+            |checker| {
+                let violations = Box::new(checker).finish();
+                assert!(violations.is_empty(), "{violations:?}");
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 /// A replay-shaped log of `messages` queue messages: each send is logged
 /// with its receive 3 ms later right behind it, as a recorder that logs
 /// a message's receive after its send writes them. Sends are 20 µs
@@ -376,6 +492,7 @@ criterion_group!(
     benches,
     full_analysis,
     fanout_props,
+    duplicates,
     canonical_order,
     selector_engine,
     simulation_engine

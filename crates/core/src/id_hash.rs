@@ -53,6 +53,10 @@ impl Hasher for IdHasher {
         self.add(n.into());
     }
 
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
     fn write_u64(&mut self, n: u64) {
         self.add(n);
     }

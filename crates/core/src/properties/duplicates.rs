@@ -17,11 +17,17 @@
 //! on the dead-letter queue instead of being delivered again.
 //!
 //! Both checks are incremental ([`DuplicatesChecker`],
-//! [`RedeliveryBoundChecker`]). Settlement is resolved online: each delivery
-//! registers on its session's waitlist, and the first later ack (or
-//! commit) by that session stamps every waiting delivery's
-//! `first_ack_after`, which is all a future redelivery needs to judge
-//! legitimacy.
+//! [`RedeliveryBoundChecker`]). Settlement is resolved online by
+//! acknowledgement epochs. A delivery is settled by the first ack (or
+//! commit) its session logs after it in stream order. Each session keeps
+//! the times of the acks that settled something: an ack is recorded only
+//! when a delivery of that session has arrived since the last recorded
+//! one, so the list grows with ack batches, not with acks, and an
+//! auto-acknowledge session that logs no ack keeps none. A delivery
+//! stores its session and the length of that list when it arrived; the
+//! ack recorded at that index, once there is one, settled it. Nothing is
+//! stamped or freed when an ack lands, and a message delivered once
+//! costs one map entry and no allocation.
 
 use super::PropertyChecker;
 use crate::id_hash::IdMap;
@@ -32,42 +38,90 @@ use jmst_api::id::{ConsumerId, MessageId, SessionId};
 use jmst_api::modes::SessionMode;
 use jmst_api::time::Timestamp;
 use jmst_store::event::{Event, EventKind};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::iter;
 use std::mem;
 
-/// One observed delivery of a message at an end-point.
-#[derive(Debug, Clone)]
-struct Delivery {
-    /// The first ack by the delivery's session at or after the delivery,
-    /// once one has been observed.
-    first_ack_after: Option<Timestamp>,
+/// A session's acknowledgement epochs.
+#[derive(Debug, Default)]
+struct Session {
+    /// Times of the acks that settled at least one delivery, in stream
+    /// order.
+    acks: Vec<Timestamp>,
+    /// Whether a delivery arrived after the last recorded ack.
+    waiting: bool,
 }
 
-/// Per-(message, end-point) delivery accounting.
-#[derive(Debug, Clone, Default)]
+/// One observed delivery of a message at an end-point.
+#[derive(Debug, Clone, Copy)]
+struct Delivery {
+    session: SessionId,
+    /// Index into the session's `acks` of the ack that settles this
+    /// delivery.
+    epoch: u32,
+    consumer: ConsumerId,
+    /// Whether the delivery counts toward the duplicate verdict.
+    counted: bool,
+}
+
+/// Per-(message, end-point) delivery accounting. The first delivery is
+/// kept inline; only a second one allocates.
+#[derive(Debug)]
 struct Tally {
-    /// Deliveries that count toward the duplicate verdict.
-    counted: u64,
-    /// Consumers involved in counted deliveries (tiny in practice).
-    consumers: Vec<ConsumerId>,
-    /// Every delivery seen, for the redelivery-legitimacy test.
-    seen: Vec<Delivery>,
-    /// Whether this tally already contributed to the live preview.
+    first: Delivery,
+    later: Option<Box<Later>>,
+}
+
+/// A tally's deliveries after the first.
+#[derive(Debug, Default)]
+struct Later {
+    deliveries: Vec<Delivery>,
+    /// Whether the tally already contributed to the live preview.
     previewed: bool,
 }
 
-/// A delivery tally's identity: the message at a concrete endpoint.
-type TallyKey = (MessageId, EndpointId);
+impl Tally {
+    fn deliveries(&self) -> impl Iterator<Item = &Delivery> {
+        let later = self.later.iter().flat_map(|later| &later.deliveries);
+        iter::once(&self.first).chain(later)
+    }
+
+    /// Deliveries that count toward the duplicate verdict.
+    fn counted(&self) -> usize {
+        self.deliveries().filter(|d| d.counted).count()
+    }
+
+    /// Whether a consumer of a counted delivery is strict (not dups-ok)
+    /// under `modes`. A consumer with no recorded lifecycle event is
+    /// conservatively treated as strict.
+    fn has_strict_consumer(&self, modes: &IdMap<ConsumerId, SessionMode>) -> bool {
+        self.deliveries().filter(|d| d.counted).any(|d| {
+            modes
+                .get(&d.consumer)
+                .is_none_or(|mode| !mode.allows_duplicates())
+        })
+    }
+
+    /// Whether the tally is a violation under `modes`.
+    fn is_duplicate(&self, modes: &IdMap<ConsumerId, SessionMode>) -> bool {
+        self.later.is_some() && self.counted() > 1 && self.has_strict_consumer(modes)
+    }
+}
+
+/// A delivery tally's identity: the message at an interned end-point.
+type TallyKey = (MessageId, u32);
 
 /// Incremental duplicate-delivery checker.
 #[derive(Debug, Default)]
 pub struct DuplicatesChecker {
     resolver: TxResolver,
     consumer_modes: IdMap<ConsumerId, SessionMode>,
-    tallies: BTreeMap<TallyKey, Tally>,
-    /// Deliveries awaiting their session's next ack, as (tally key,
-    /// index into `Tally::seen`).
-    waitlist: IdMap<SessionId, Vec<(TallyKey, usize)>>,
+    /// Each distinct end-point's index into `endpoint_names`.
+    endpoints: IdMap<EndpointId, u32>,
+    endpoint_names: Vec<EndpointId>,
+    sessions: IdMap<SessionId, Session>,
+    tallies: IdMap<TallyKey, Tally>,
     preview: usize,
 }
 
@@ -77,17 +131,14 @@ impl DuplicatesChecker {
         Self::default()
     }
 
-    fn settle_session(&mut self, session: SessionId, at: Timestamp) {
-        let Some(waiting) = self.waitlist.remove(&session) else {
-            return;
-        };
-        for (key, index) in waiting {
-            if let Some(tally) = self.tallies.get_mut(&key) {
-                if let Some(delivery) = tally.seen.get_mut(index) {
-                    delivery.first_ack_after.get_or_insert(at);
-                }
-            }
+    fn endpoint_index(&mut self, endpoint: &EndpointId) -> u32 {
+        if let Some(&index) = self.endpoints.get(endpoint) {
+            return index;
         }
+        let index = u32::try_from(self.endpoint_names.len()).expect("under 2^32 end-points");
+        self.endpoints.insert(endpoint.clone(), index);
+        self.endpoint_names.push(endpoint.clone());
+        index
     }
 
     fn ingest(&mut self, event: &Event) {
@@ -101,7 +152,11 @@ impl DuplicatesChecker {
                 self.consumer_modes.insert(*consumer, *session_mode);
             }
             EventKind::Acknowledge { session } | EventKind::Commit { session, .. } => {
-                self.settle_session(*session, event.at);
+                if let Some(session) = self.sessions.get_mut(session) {
+                    if mem::take(&mut session.waiting) {
+                        session.acks.push(event.at);
+                    }
+                }
             }
             EventKind::Receive {
                 consumer,
@@ -110,45 +165,49 @@ impl DuplicatesChecker {
                 session,
                 ..
             } => {
-                let key = (record.message, endpoint.clone());
-                let tally = self.tallies.entry(key.clone()).or_default();
-                let counts = if record.redelivered {
+                let key = (record.message, self.endpoint_index(endpoint));
+                let epochs = self.sessions.entry(*session).or_default();
+                epochs.waiting = true;
+                let mut delivery = Delivery {
+                    session: *session,
+                    epoch: u32::try_from(epochs.acks.len()).expect("under 2^32 acks per session"),
+                    consumer: *consumer,
+                    // A first sighting flagged as a redelivery has no
+                    // earlier delivery that could have been settled.
+                    counted: !record.redelivered,
+                };
+                let tally = match self.tallies.entry(key) {
+                    Entry::Vacant(vacant) => {
+                        vacant.insert(Tally {
+                            first: delivery,
+                            later: None,
+                        });
+                        return;
+                    }
+                    Entry::Occupied(occupied) => occupied.into_mut(),
+                };
+                if record.redelivered {
                     // Legitimate iff no earlier delivery of this message
                     // here was settled before this redelivery arrived.
-                    tally
-                        .seen
-                        .iter()
-                        .any(|d| d.first_ack_after.is_some_and(|ack| ack < event.at))
-                } else {
-                    true
-                };
-                let index = tally.seen.len();
-                tally.seen.push(Delivery {
-                    first_ack_after: None,
-                });
-                if counts {
-                    tally.counted += 1;
-                    if !tally.consumers.contains(consumer) {
-                        tally.consumers.push(*consumer);
-                    }
-                    if tally.counted > 1 && !tally.previewed {
-                        // Preview with the modes known so far; the final
-                        // verdict re-judges with the whole trace's modes.
-                        let strict = tally.consumers.iter().any(|c| {
-                            self.consumer_modes
-                                .get(c)
-                                .is_none_or(|mode| !mode.allows_duplicates())
-                        });
-                        if strict {
-                            tally.previewed = true;
-                            self.preview += 1;
-                        }
+                    delivery.counted = tally.deliveries().any(|earlier| {
+                        let acks = &self.sessions[&earlier.session].acks;
+                        acks.get(earlier.epoch as usize)
+                            .is_some_and(|&ack| ack < event.at)
+                    });
+                }
+                tally
+                    .later
+                    .get_or_insert_with(Box::default)
+                    .deliveries
+                    .push(delivery);
+                // Preview with the modes known so far; the final verdict
+                // re-judges with the whole trace's modes.
+                if delivery.counted && tally.is_duplicate(&self.consumer_modes) {
+                    let later = tally.later.as_mut().expect("a delivery was just pushed");
+                    if !mem::replace(&mut later.previewed, true) {
+                        self.preview += 1;
                     }
                 }
-                self.waitlist
-                    .entry(*session)
-                    .or_default()
-                    .push((key, index));
             }
             _ => {}
         }
@@ -168,47 +227,47 @@ impl PropertyChecker for DuplicatesChecker {
         self.preview
     }
 
+    /// The maps' and lists' capacities; the later deliveries of the
+    /// (rare) tallies that have more than one are not counted.
     fn state_bytes(&self) -> usize {
-        let per_tally = mem::size_of::<(MessageId, EndpointId)>() + mem::size_of::<Tally>();
-        let deliveries: usize = self
-            .tallies
-            .values()
-            .map(|tally| tally.seen.capacity() * mem::size_of::<Delivery>())
-            .sum();
-        let waiting: usize = self
-            .waitlist
-            .values()
-            .map(|v| v.capacity() * mem::size_of::<((MessageId, EndpointId), usize)>())
-            .sum();
+        let acks: usize = self.sessions.values().map(|s| s.acks.capacity()).sum();
         self.resolver.state_bytes()
-            + self.tallies.len() * per_tally
-            + deliveries
-            + waiting
+            + self.tallies.capacity() * mem::size_of::<(TallyKey, Tally)>()
+            + self.sessions.capacity() * mem::size_of::<(SessionId, Session)>()
+            + acks * mem::size_of::<Timestamp>()
+            + self.endpoints.capacity() * mem::size_of::<(EndpointId, u32)>()
+            + self.endpoint_names.capacity() * mem::size_of::<EndpointId>()
             + self.consumer_modes.capacity()
                 * (mem::size_of::<ConsumerId>() + mem::size_of::<SessionMode>())
     }
 
-    /// Finishes the check and returns the violations, sorted by message.
+    /// Finishes the check and returns the violations, sorted by message,
+    /// then end-point.
     ///
     /// A consumer with no recorded lifecycle event is conservatively
     /// treated as strict (not dups-ok).
     fn finish(self: Box<Self>) -> Vec<Violation> {
-        let modes = self.consumer_modes;
-        self.tallies
+        let Self {
+            consumer_modes,
+            endpoint_names,
+            tallies,
+            ..
+        } = *self;
+        let mut violators: Vec<(MessageId, u32, usize)> = tallies
             .into_iter()
-            .filter(|(_, tally)| {
-                tally.counted > 1
-                    && tally.consumers.iter().any(|consumer| {
-                        modes
-                            .get(consumer)
-                            .is_none_or(|mode| !mode.allows_duplicates())
-                    })
-            })
+            .filter(|(_, tally)| tally.is_duplicate(&consumer_modes))
+            .map(|((message, endpoint), tally)| (message, endpoint, tally.counted()))
+            .collect();
+        violators.sort_unstable_by(|a, b| {
+            (a.0, &endpoint_names[a.1 as usize]).cmp(&(b.0, &endpoint_names[b.1 as usize]))
+        });
+        violators
+            .into_iter()
             .map(
-                |((message, endpoint), tally)| Violation::DuplicateDelivery {
+                |(message, endpoint, deliveries)| Violation::DuplicateDelivery {
                     message,
-                    endpoint,
-                    deliveries: tally.counted,
+                    endpoint: endpoint_names[endpoint as usize].clone(),
+                    deliveries: deliveries as u64,
                 },
             )
             .collect()
@@ -448,6 +507,49 @@ mod tests {
             &violations[0],
             Violation::DuplicateDelivery { message, .. } if message.as_u64() == 2
         ));
+    }
+
+    #[test]
+    fn violations_at_one_message_are_sorted_by_endpoint() {
+        // End-points are interned in arrival order ("z" first); the
+        // violations still come out in end-point order.
+        use jmst_api::destination::QueueName;
+        let at = |queue: &str| EndpointId::for_queue(QueueName::new(queue));
+        let record = rec(1, 1, 0);
+        let trace = TraceBuilder::new()
+            .send(1, 1, 0)
+            .receive_rec(at("z"), 50, record.clone(), None)
+            .receive_rec(at("z"), 50, record.clone(), None)
+            .receive_rec(at("a"), 51, record.clone(), None)
+            .receive_rec(at("a"), 51, record, None)
+            .build();
+        let endpoints: Vec<EndpointId> = check(DuplicatesChecker::new(), &trace)
+            .into_iter()
+            .map(|violation| match violation {
+                Violation::DuplicateDelivery { endpoint, .. } => endpoint,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(endpoints, [at("a"), at("z")]);
+    }
+
+    #[test]
+    fn a_session_records_an_ack_only_while_a_delivery_waits() {
+        // 10,000 acks around one delivery: the 5,000 before it settle
+        // nothing, and of those after it only the first does.
+        let acks = |mut builder: TraceBuilder| {
+            for _ in 0..5_000 {
+                builder = builder.ack_by(50);
+            }
+            builder
+        };
+        let builder = acks(TraceBuilder::new().send(1, 1, 0).at(10));
+        let builder = acks(builder.at(20).receive_q(1, 1, 0).at(30));
+        let checker = drive(DuplicatesChecker::new(), &builder.build());
+        let session = &checker.sessions[&SessionId::from_raw(150)];
+        assert_eq!(session.acks, [Timestamp::from_millis(30)]);
+        assert!(!session.waiting);
+        assert_eq!(checker.sessions.len(), 1);
     }
 
     #[test]

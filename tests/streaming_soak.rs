@@ -2,7 +2,9 @@
 //! run, the analyzer's resident state must stay under a fixed ceiling
 //! that the materialised batch trace provably blows through. This is the
 //! point of the streaming refactor — verdicts over runs too long to hold
-//! in memory as a `Trace`.
+//! in memory as a `Trace`. An auto-acknowledge consumer logs no
+//! `Acknowledge` event, so its session never settles a delivery; that
+//! run is held to the same ceiling.
 
 use jmst::api::destination::{Destination, EndpointId, QueueName};
 use jmst::api::id::{ConsumerId, MessageId, NodeId, ProducerId, SessionId};
@@ -15,6 +17,10 @@ use std::mem;
 /// Messages in the soak workload; each one contributes a send, a receive,
 /// and an acknowledge event.
 const MESSAGES: u64 = 50_000;
+
+/// Messages in the auto-acknowledge soak: a send and a receive each, so
+/// as many events as the acknowledged run.
+const AUTO_ACK_MESSAGES: u64 = MESSAGES * 3 / 2;
 
 /// The fixed ceiling: the streaming analyzer must stay under it, the
 /// batch trace must not. With three events per message the trace alone
@@ -33,6 +39,18 @@ fn soak_event(seq: u64, at_ms: u64, kind: EventKind) -> Event {
 
 #[test]
 fn streaming_state_stays_bounded_over_a_long_clean_run() {
+    soak(MESSAGES, true);
+}
+
+#[test]
+fn streaming_state_stays_bounded_when_no_delivery_is_acknowledged() {
+    soak(AUTO_ACK_MESSAGES, false);
+}
+
+/// Streams `messages` clean queue messages through the analyzer, each
+/// receive followed by its session's `Acknowledge` if `acknowledge`, and
+/// checks the resident state against the ceiling.
+fn soak(messages: u64, acknowledge: bool) {
     let endpoint = EndpointId::for_queue(QueueName::new("q"));
     let mut streaming = Analyzer::new().streaming();
     let mut seq = 0u64;
@@ -56,7 +74,7 @@ fn streaming_state_stays_bounded_over_a_long_clean_run() {
         &mut streaming,
     );
     let mut max_state = 0usize;
-    for message in 0..MESSAGES {
+    for message in 0..messages {
         let at = message + 1;
         let record = MessageRecord {
             message: MessageId::from_raw(message + 1),
@@ -92,19 +110,21 @@ fn streaming_state_stays_bounded_over_a_long_clean_run() {
             },
             &mut streaming,
         );
-        next(
-            at,
-            EventKind::Acknowledge {
-                session: SessionId::from_raw(2),
-            },
-            &mut streaming,
-        );
+        if acknowledge {
+            next(
+                at,
+                EventKind::Acknowledge {
+                    session: SessionId::from_raw(2),
+                },
+                &mut streaming,
+            );
+        }
         if message % 1_000 == 0 {
             max_state = max_state.max(streaming.state_bytes());
         }
     }
     next(
-        MESSAGES + 1,
+        messages + 1,
         EventKind::PhaseStarted {
             phase: Phase::WarmDown,
         },
@@ -129,6 +149,6 @@ fn streaming_state_stays_bounded_over_a_long_clean_run() {
     // And the verdict over the soak run is still the full, clean report.
     let report = streaming.finish();
     assert!(report.passed(), "{report}");
-    assert_eq!(report.sends as u64, MESSAGES);
-    assert_eq!(report.receives as u64, MESSAGES);
+    assert_eq!(report.sends as u64, messages);
+    assert_eq!(report.receives as u64, messages);
 }
